@@ -1,9 +1,9 @@
 """Performance-trajectory harness: kernel and end-to-end speedups.
 
-Times the optimised compression kernels against their reference
-implementations (``repro.perf.reference``) and one end-to-end figure run
-in two configurations — serial with fast paths off versus parallel with
-fast paths on — plus an observability leg (``REPRO_OBS`` off vs on) and
+Times the live compression kernels against their test oracles
+(``repro.conformance.oracles``) and one end-to-end figure run in two
+configurations — serial versus the process pool — plus an observability
+leg (``REPRO_OBS`` off vs on) and
 a robustness leg (``REPRO_FAULT_INJECT`` crashing 10% of cells, then a
 checkpoint resume that must match a fault-free run bit-for-bit), then
 writes the measurements to ``BENCH_perf.json``.
@@ -14,10 +14,9 @@ Every optimisation is bit-exact (enforced by
     python benchmarks/bench_perf.py --quick     # CI-friendly, <60s
     python benchmarks/bench_perf.py             # full trajectory
 
-The end-to-end legs run in subprocesses so ``REPRO_FAST``/``REPRO_JOBS``
-are set before any module import; the parallel leg uses every core, so
-the reported speedup compounds kernel gains with the process-pool
-fan-out on multi-core hosts.
+The end-to-end legs run in subprocesses so ``REPRO_JOBS`` and the other
+knobs are set before any module import; the parallel leg uses every
+core, so its speedup is the process-pool fan-out on multi-core hosts.
 """
 
 from __future__ import annotations
@@ -39,14 +38,13 @@ from repro.common.bitio import BitWriter                   # noqa: E402
 from repro.compression.cpack import CPackCompressor        # noqa: E402
 from repro.compression.fpc import FpcCompressor            # noqa: E402
 from repro.compression.lbe import LbeCompressor, LbeDictionary  # noqa: E402
-from repro.perf.corpus import mixed_stream                 # noqa: E402
-from repro.perf.fastpath import set_fast_paths             # noqa: E402
-from repro.perf.reference import (                         # noqa: E402
+from repro.conformance.oracles import (                     # noqa: E402
     ReferenceBitWriter,
     reference_cpack_bits,
     reference_fpc_bits,
     reference_lbe_measure,
 )
+from repro.perf.corpus import mixed_stream                 # noqa: E402
 
 #: active logs trialled per fill in the MORC cache (morc/cache.py)
 TRIAL_LOGS = 8
@@ -90,12 +88,8 @@ def bench_lbe_measure(lines) -> dict:
                 compressor.measure(line, dictionary)
 
     reference_s = _timeit(reference)
-    previous = set_fast_paths(True)
-    try:
-        fast()  # warm the per-dictionary memos once, as a live run would
-        fast_s = _timeit(fast)
-    finally:
-        set_fast_paths(previous)
+    fast()  # warm the per-dictionary memos once, as a live run would
+    fast_s = _timeit(fast)
     return {"reference_s": reference_s, "fast_s": fast_s,
             "speedup": reference_s / fast_s if fast_s else float("inf")}
 
@@ -110,12 +104,8 @@ def bench_line_codec(lines, compressor, reference_bits) -> dict:
             compressor.compress(line)
 
     reference_s = _timeit(reference)
-    previous = set_fast_paths(True)
-    try:
-        fast()
-        fast_s = _timeit(fast)
-    finally:
-        set_fast_paths(previous)
+    fast()
+    fast_s = _timeit(fast)
     return {"reference_s": reference_s, "fast_s": fast_s,
             "speedup": reference_s / fast_s if fast_s else float("inf")}
 
@@ -151,11 +141,9 @@ print(json.dumps({{"elapsed_s": elapsed, "ratios": ratios,
 """
 
 
-def _end_to_end_leg(benchmarks, n_instructions, schemes, fast: bool,
-                    jobs: int, obs_trace: str = "",
-                    extra_env: dict = None) -> dict:
+def _end_to_end_leg(benchmarks, n_instructions, schemes, jobs: int,
+                    obs_trace: str = "", extra_env: dict = None) -> dict:
     env = dict(os.environ)
-    env["REPRO_FAST"] = "1" if fast else "0"
     env["REPRO_JOBS"] = str(jobs)
     if obs_trace:
         env["REPRO_OBS"] = "1"
@@ -204,7 +192,6 @@ print(json.dumps({{"elapsed_s": elapsed, "failed": failed,
 def _robustness_leg(benchmarks, n_instructions, schemes, checkpoint,
                     resume: bool, fault: str) -> dict:
     env = dict(os.environ)
-    env["REPRO_FAST"] = "1"
     env["REPRO_OBS"] = "0"
     env["REPRO_JOBS"] = str(max(1, os.cpu_count() or 1))
     if fault:
@@ -231,8 +218,7 @@ def bench_robustness(benchmarks, n_instructions, schemes) -> dict:
     fault-free serial run bit-for-bit.
     """
     import tempfile
-    clean = _end_to_end_leg(benchmarks, n_instructions, schemes,
-                            fast=True, jobs=1)
+    clean = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=1)
     handle, ckpt = tempfile.mkstemp(suffix=".ckpt",
                                     prefix="repro_robust_")
     os.close(handle)
@@ -276,23 +262,21 @@ def bench_robustness(benchmarks, n_instructions, schemes) -> dict:
 def bench_verify(benchmarks, n_instructions, schemes) -> dict:
     """Cost of the data-plane resilience features on a figure-6 grid.
 
-    Three serial legs with fast paths on: the default, ``REPRO_VERIFY=1``
+    Three serial legs: the default, ``REPRO_VERIFY=1``
     (round-trip + invariant checks on every insert/sample), and soft
     errors injected at 1e-4 per stored bit with the refetch policy.
     Verification observes without perturbing, so its leg must stay
     bit-identical to the baseline; the injection leg changes behaviour
     by design (lines are refetched) and only has to complete.
     """
-    base = _end_to_end_leg(benchmarks, n_instructions, schemes,
-                           fast=True, jobs=1)
-    verified = _end_to_end_leg(benchmarks, n_instructions, schemes,
-                               fast=True, jobs=1,
+    base = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=1)
+    verified = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=1,
                                extra_env={"REPRO_VERIFY": "1"})
     if base["ratios"] != verified["ratios"]:
         raise AssertionError("REPRO_VERIFY changed simulation results: "
                              "verification must only observe")
     injected = _end_to_end_leg(
-        benchmarks, n_instructions, schemes, fast=True, jobs=1,
+        benchmarks, n_instructions, schemes, jobs=1,
         extra_env={"REPRO_SOFT_ERRORS": "1e-4",
                    "REPRO_SOFT_ERROR_POLICY": "refetch"})
     verify_overhead = verified["elapsed_s"] / base["elapsed_s"] - 1.0
@@ -312,23 +296,21 @@ def bench_verify(benchmarks, n_instructions, schemes) -> dict:
 
 
 def bench_end_to_end(benchmarks, n_instructions, schemes) -> dict:
-    """Before (serial, reference kernels) vs after (pool, fast kernels)."""
+    """Serial vs the process pool over every core."""
     jobs = max(1, os.cpu_count() or 1)
-    before = _end_to_end_leg(benchmarks, n_instructions, schemes,
-                             fast=False, jobs=1)
-    after = _end_to_end_leg(benchmarks, n_instructions, schemes,
-                            fast=True, jobs=jobs)
+    before = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=1)
+    after = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=jobs)
     if before["ratios"] != after["ratios"]:
-        raise AssertionError("end-to-end legs diverged: optimisations "
-                             "must be bit-exact")
+        raise AssertionError("end-to-end legs diverged: the pool must be "
+                             "bit-exact")
     return {
         "benchmarks": list(benchmarks),
         "schemes": list(schemes),
         "n_instructions": n_instructions,
         "cells": after["cells"],
         "jobs": jobs,
-        "serial_reference_s": before["elapsed_s"],
-        "parallel_fast_s": after["elapsed_s"],
+        "serial_s": before["elapsed_s"],
+        "parallel_s": after["elapsed_s"],
         "speedup": before["elapsed_s"] / after["elapsed_s"],
         "bit_exact": True,
     }
@@ -337,20 +319,19 @@ def bench_end_to_end(benchmarks, n_instructions, schemes) -> dict:
 def bench_observability(benchmarks, n_instructions, schemes) -> dict:
     """Tracing-off vs tracing-on cost of the same grid.
 
-    Both legs run serial with fast paths on so the only difference is
+    Both legs run serial so the only difference is
     ``REPRO_OBS``; results must stay bit-identical either way (the
     tracer observes, never perturbs), and the off leg's overhead versus
     a default run is what the <5% acceptance bound measures.
     """
     import tempfile
-    off = _end_to_end_leg(benchmarks, n_instructions, schemes,
-                          fast=True, jobs=1)
+    off = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=1)
     handle, trace_path = tempfile.mkstemp(suffix=".jsonl",
                                           prefix="repro_obs_bench_")
     os.close(handle)
     try:
         on = _end_to_end_leg(benchmarks, n_instructions, schemes,
-                             fast=True, jobs=1, obs_trace=trace_path)
+                             jobs=1, obs_trace=trace_path)
         with open(trace_path, "rb") as stream:
             events = sum(1 for _ in stream)
     finally:
@@ -449,9 +430,9 @@ def main(argv=None) -> int:
     print(f"end-to-end figure6 grid: {grid['benchmarks']} x "
           f"{grid['schemes']} @ {grid['n_instructions']} instructions")
     end_to_end = bench_end_to_end(**grid)
-    print(f"  serial+reference {end_to_end['serial_reference_s']:.2f}s -> "
-          f"parallel({end_to_end['jobs']})+fast "
-          f"{end_to_end['parallel_fast_s']:.2f}s  "
+    print(f"  serial {end_to_end['serial_s']:.2f}s -> "
+          f"parallel({end_to_end['jobs']}) "
+          f"{end_to_end['parallel_s']:.2f}s  "
           f"({end_to_end['speedup']:.2f}x, bit-exact)")
 
     observability = bench_observability(**grid)

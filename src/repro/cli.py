@@ -249,8 +249,6 @@ def _command_list() -> int:
                              "(default 64)"),
         ("REPRO_JOBS", "experiment worker processes "
                        "(default cpu count)"),
-        ("REPRO_FAST", "bit-exact compression fast paths "
-                       "(default 1)"),
         ("REPRO_SCALE", "scale factor for default instruction "
                         "counts"),
         ("REPRO_ON_ERROR", "failed-cell policy: raise, skip or "

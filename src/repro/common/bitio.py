@@ -14,7 +14,7 @@ Python int and spill into a chunk list once the accumulator passes
 per write (the whole big int is copied); with spilling, each write only
 shifts the small accumulator, and the chunks are folded together once in
 :meth:`BitWriter.getvalue`.  The emitted stream is bit-identical to the
-naive writer (see ``repro.perf.reference.ReferenceBitWriter``).
+naive writer (see ``repro.conformance.oracles.ReferenceBitWriter``).
 """
 
 from __future__ import annotations

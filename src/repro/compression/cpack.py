@@ -21,9 +21,8 @@ caps C-Pack's ratio at 8x.
 
 The dictionary resets every line, so a line's encoding depends only on
 its content; :meth:`CPackCompressor.compress` exploits that with a
-content-keyed LRU memo (gated by ``REPRO_FAST``), which pays off on the
-zero- and duplicate-heavy workloads where the same lines refill the
-cache repeatedly.
+content-keyed LRU memo, which pays off on the zero- and duplicate-heavy
+workloads where the same lines refill the cache repeatedly.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.common.errors import CompressionError, CorruptBitstreamError
 from repro.common.words import LINE_SIZE, check_line, from_words32, words32
 from repro.compression.base import CompressedSize, IntraLineCompressor
 from repro.obs.trace import compression_event
-from repro.perf.fastpath import fast_paths_enabled
 
 DICTIONARY_ENTRIES = 16
 POINTER_BITS = 4
@@ -194,14 +192,8 @@ class CPackCompressor(IntraLineCompressor):
         """Exact encoded size of ``line`` in bits.
 
         The per-line dictionary reset makes the size a pure function of
-        content, so repeated lines are answered from an LRU memo when
-        the fast paths are enabled.
+        content, so repeated lines are answered from an LRU memo.
         """
-        if not fast_paths_enabled():
-            bits = sum(_TOKEN_BITS[token[0]]
-                       for token in self.compress_tokens(line))
-            compression_event("cpack", line, bits)
-            return CompressedSize(bits)
         line = check_line(line)
         memo = self._memo
         bits = memo.get(line)

@@ -22,7 +22,7 @@ code  pattern                                  payload bits
 
 Like C-Pack, FPC has no cross-line state, so the encoded size is a pure
 function of line content; :meth:`FpcCompressor.compress` memoises it per
-instance behind the ``REPRO_FAST`` gate.
+instance.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.common.errors import CompressionError, CorruptBitstreamError
 from repro.common.words import check_line, from_words32, words32
 from repro.compression.base import CompressedSize, IntraLineCompressor
 from repro.obs.trace import compression_event
-from repro.perf.fastpath import fast_paths_enabled
 
 PREFIX_BITS = 3
 MAX_ZERO_RUN = 8
@@ -170,13 +169,8 @@ class FpcCompressor(IntraLineCompressor):
         return from_words32(words)
 
     def compress(self, line: bytes) -> CompressedSize:
-        """Exact encoded size of ``line`` in bits (memoised under
-        ``REPRO_FAST`` since FPC keeps no cross-line state)."""
-        if not fast_paths_enabled():
-            bits = sum(_TOKEN_BITS[token[0]]
-                       for token in self.compress_tokens(line))
-            compression_event("fpc", line, bits)
-            return CompressedSize(bits)
+        """Exact encoded size of ``line`` in bits (memoised, since FPC
+        keeps no cross-line state)."""
         line = check_line(line)
         memo = self._memo
         bits = memo.get(line)

@@ -37,9 +37,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import CompressionError, CorruptBitstreamError
-from repro.common.words import LINE_SIZE, ZERO_LINE, check_line
+from repro.common.words import LINE_SIZE, check_line
 from repro.obs.trace import compression_event
-from repro.perf.fastpath import fast_paths_enabled
 
 CHUNK_BYTES = 32
 """LBE reads input in 256-bit chunks."""
@@ -192,228 +191,272 @@ class CompressedLine:
                              for symbol in self.symbols)
 
 
-class _Overlay:
-    """Dictionary view with uncommitted local additions.
+#: the payload-free symbols, shared by every encoding: one zero symbol
+#: and one match symbol per pointer value at each granularity
+_ZERO_SYMBOL = {size: Symbol(zero) for size, (_, zero)
+                in _KIND_FOR_SIZE.items()}
+_MATCH_SYMBOLS = {size: tuple(Symbol(match, index=index)
+                              for index in range(DICT_CAPACITY[size]))
+                  for size, (match, _) in _KIND_FOR_SIZE.items()}
 
-    Lets trial compression against many candidate logs share the base
-    dictionaries without copying them, while still letting later words of a
-    line match entries allocated by earlier words.
+#: literal symbol width (prefix + payload) -> its kind
+_LITERAL_KIND = {_SYMBOL_BITS[kind]: kind for kind in _LITERAL_BITS}
+_U8_BITS, _U16_BITS, _U32_BITS = (_SYMBOL_BITS["u8"], _SYMBOL_BITS["u16"],
+                                  _SYMBOL_BITS["u32"])
+
+
+def _decompose(line: bytes) -> tuple:
+    """Split a line into LBE's aligned 32/16/8/4-byte blocks, once.
+
+    This is the line's plan, walked by every trial and by the commit.
+    Each level is a tuple of ``(block, children)`` pairs in encoding
+    order.  An all-zero block, which encodes as its z* symbol and is
+    never split, is recorded as ``None``; a 4-byte word's "children" is
+    the width of the literal symbol it needs when nothing matches it
+    (significance compression: ``u8``/``u16`` when its upper bytes are
+    zero, else ``u32``).
     """
+    tree = []
+    for chunk in (line[:32], line[32:]):
+        if chunk == _Z32:
+            tree.append((None, ()))
+            continue
+        halves = []
+        for half in (chunk[:16], chunk[16:]):
+            if half == _Z16:
+                halves.append((None, ()))
+                continue
+            quarters = []
+            for quarter in (half[:8], half[8:]):
+                if quarter == _Z8:
+                    quarters.append((None, ()))
+                    continue
+                words = []
+                for word in (quarter[:4], quarter[4:]):
+                    if word == _Z4:
+                        words.append((None, 0))
+                        continue
+                    if word[0] or word[1]:
+                        words.append((word, _U32_BITS))
+                    elif word[2]:
+                        words.append((word, _U16_BITS))
+                    else:
+                        words.append((word, _U8_BITS))
+                quarters.append((quarter, tuple(words)))
+            halves.append((half, tuple(quarters)))
+        tree.append((chunk, tuple(halves)))
+    return tuple(tree)
 
-    __slots__ = ("base", "added", "order")
 
-    def __init__(self, base: LbeDictionary) -> None:
-        self.base = base
-        self.added: Dict[int, Dict[bytes, int]] = {g: {} for g in DICT_CAPACITY}
-        self.order: List[bytes] = []
+def _measure_tree(tree: tuple, dictionary: LbeDictionary) -> int:
+    """Encoded size of a decomposed line, leaving ``dictionary`` untouched.
 
-    def lookup(self, block: bytes) -> Optional[int]:
-        index = self.base.lookup(block)
+    Entries the line would allocate are tracked in local sets: a literal
+    word is allocated at once, while the 64/128/256-bit blocks that
+    failed to match are allocated only after their 256-bit chunk (paper
+    §3.2.5), in the encoder's post-order, so capacity freezes on exactly
+    the block the encoder freezes on.  Every size has its own table, so
+    the order across sizes does not matter.
+    """
+    maps, values = dictionary._maps, dictionary._values
+    m4, m8, m16, m32 = maps[4], maps[8], maps[16], maps[32]
+    room4 = DICT_CAPACITY[4] - len(values[4])
+    room8 = DICT_CAPACITY[8] - len(values[8])
+    room16 = DICT_CAPACITY[16] - len(values[16])
+    room32 = DICT_CAPACITY[32] - len(values[32])
+    a4, a8, a16, a32 = set(), set(), set(), set()
+    bits = 0
+    last = len(tree) - 1
+    for position, (chunk, halves) in enumerate(tree):
+        if chunk is None:
+            bits += 5               # z256
+            continue
+        if chunk in m32 or chunk in a32:
+            bits += 9               # m256
+            continue
+        failed8, failed16 = [], []
+        for half, quarters in halves:
+            if half is None:
+                bits += 5           # z128
+                continue
+            if half in m16 or half in a16:
+                bits += 10          # m128
+                continue
+            for quarter, words in quarters:
+                if quarter is None:
+                    bits += 4       # z64
+                    continue
+                if quarter in m8 or quarter in a8:
+                    bits += 10      # m64
+                    continue
+                for word, literal_bits in words:
+                    if word is None:
+                        bits += 4   # z32
+                    elif word in m4 or word in a4:
+                        bits += 9   # m32
+                    else:
+                        bits += literal_bits
+                        if room4:
+                            a4.add(word)
+                            room4 -= 1
+                failed8.append(quarter)
+            failed16.append(half)
+        if position == last:
+            break                   # no later chunk can match these
+        for quarter in failed8:
+            if room8 and quarter not in a8:
+                a8.add(quarter)
+                room8 -= 1
+        for half in failed16:
+            if room16 and half not in a16:
+                a16.add(half)
+                room16 -= 1
+        if room32:
+            a32.add(chunk)
+            room32 -= 1
+    return bits
+
+
+def _encode_tree(tree: tuple, dictionary: LbeDictionary
+                 ) -> Tuple[Symbol, ...]:
+    """Symbol stream of a decomposed line, allocating into ``dictionary``.
+
+    The same walk as :func:`_measure_tree`, emitting symbols and writing
+    new entries straight into the dictionary (their pointer is the
+    table's length at insertion), so later blocks of the line match them
+    exactly as the decoder will.
+    """
+    maps, values = dictionary._maps, dictionary._values
+    m4, m8, m16, m32 = maps[4], maps[8], maps[16], maps[32]
+    v4, v8, v16, v32 = values[4], values[8], values[16], values[32]
+    cap4, cap8, cap16, cap32 = (DICT_CAPACITY[4], DICT_CAPACITY[8],
+                                DICT_CAPACITY[16], DICT_CAPACITY[32])
+    match4, match8, match16, match32 = (_MATCH_SYMBOLS[4], _MATCH_SYMBOLS[8],
+                                        _MATCH_SYMBOLS[16],
+                                        _MATCH_SYMBOLS[32])
+    zero4, zero8, zero16, zero32 = (_ZERO_SYMBOL[4], _ZERO_SYMBOL[8],
+                                    _ZERO_SYMBOL[16], _ZERO_SYMBOL[32])
+    entries_before = len(v4) + len(v8) + len(v16) + len(v32)
+    symbols: List[Symbol] = []
+    emit = symbols.append
+    for chunk, halves in tree:
+        if chunk is None:
+            emit(zero32)
+            continue
+        index = m32.get(chunk)
         if index is not None:
-            return index
-        return self.added[len(block)].get(block)
-
-    def insert(self, block: bytes) -> None:
-        size = len(block)
-        local = self.added[size]
-        if block in local or self.base.lookup(block) is not None:
-            return
-        if self.base.entry_count(size) + len(local) >= DICT_CAPACITY[size]:
-            return
-        local[block] = self.base.entry_count(size) + len(local)
-        self.order.append(block)
-
-    def commit(self) -> None:
-        """Apply local additions to the base dictionary, in insertion order."""
-        for block in self.order:
-            self.base.insert(block)
+            emit(match32[index])
+            continue
+        failed8, failed16 = [], []
+        for half, quarters in halves:
+            if half is None:
+                emit(zero16)
+                continue
+            index = m16.get(half)
+            if index is not None:
+                emit(match16[index])
+                continue
+            for quarter, words in quarters:
+                if quarter is None:
+                    emit(zero8)
+                    continue
+                index = m8.get(quarter)
+                if index is not None:
+                    emit(match8[index])
+                    continue
+                for word, literal_bits in words:
+                    if word is None:
+                        emit(zero4)
+                        continue
+                    index = m4.get(word)
+                    if index is not None:
+                        emit(match4[index])
+                        continue
+                    emit(Symbol(_LITERAL_KIND[literal_bits],
+                                value=int.from_bytes(word, "big")))
+                    if len(v4) < cap4:
+                        m4[word] = len(v4)
+                        v4.append(word)
+                failed8.append(quarter)
+            failed16.append(half)
+        # Paper §3.2.5: before the next 256b chunk, allocate entries for
+        # every coarse block that failed to compress.
+        for quarter in failed8:
+            if quarter not in m8 and len(v8) < cap8:
+                m8[quarter] = len(v8)
+                v8.append(quarter)
+        for half in failed16:
+            if half not in m16 and len(v16) < cap16:
+                m16[half] = len(v16)
+                v16.append(half)
+        if len(v32) < cap32:
+            m32[chunk] = len(v32)
+            v32.append(chunk)
+    if len(v4) + len(v8) + len(v16) + len(v32) != entries_before:
+        dictionary._memo.clear()
+    return tuple(symbols)
 
 
 class LbeCompressor:
-    """Stateless encoder; dictionary state is passed in per log."""
+    """LBE encoder; dictionary state is passed in per log.
+
+    MORC measures each fill against every active log and then commits it
+    to one, so the line's block decomposition is computed once and kept
+    in a one-entry cache keyed by the line's content (:meth:`_plan_for`).
+    """
 
     name = "lbe"
+
+    def __init__(self) -> None:
+        self._line: Optional[bytes] = None
+        self._plan: tuple = ()
+
+    def _plan_for(self, line: bytes) -> Tuple[bytes, tuple]:
+        """The validated line and its block plan (:func:`_decompose`),
+        from the cache if the previous call saw equal content."""
+        if line != self._line:
+            line = check_line(line)
+            self._plan = _decompose(line)
+            self._line = line
+        return self._line, self._plan
 
     def compress(self, line: bytes, dictionary: LbeDictionary,
                  commit: bool = True) -> CompressedLine:
         """Encode ``line`` against ``dictionary``.
 
-        With ``commit=False`` the dictionary is left untouched (used for
-        multi-log trial compression); otherwise new entries are applied.
+        With ``commit=False`` the dictionary is left untouched (the line
+        is encoded against a copy); otherwise new entries are applied.
         """
-        line = check_line(line)
-        overlay = _Overlay(dictionary)
-        symbols: List[Symbol] = []
-        for start in range(0, LINE_SIZE, CHUNK_BYTES):
-            chunk = line[start:start + CHUNK_BYTES]
-            failed: List[bytes] = []
-            self._encode_block(chunk, overlay, symbols, failed)
-            # Paper §3.2.5: before the next 256b chunk, allocate entries
-            # for every coarse block that failed to compress.
-            for block in failed:
-                overlay.insert(block)
-        if commit:
-            overlay.commit()
-        compressed = CompressedLine(tuple(symbols))
+        line, plan = self._plan_for(line)
+        target = dictionary if commit else dictionary.copy()
+        compressed = CompressedLine(_encode_tree(plan, target))
         if commit:
             # Trial placements go through measure(); committed appends are
             # the stream's real compression attempts.
             compression_event("lbe", line, compressed.size_bits)
         return compressed
 
-    def _encode_block(self, block: bytes, overlay: _Overlay,
-                      out: List[Symbol], failed: List[bytes]) -> None:
-        """Recursively encode an aligned block, largest granularity first."""
-        size = len(block)
-        match_kind, zero_kind = _KIND_FOR_SIZE[size]
-        if not any(block):
-            out.append(Symbol(zero_kind))
-            return
-        index = overlay.lookup(block)
-        if index is not None:
-            out.append(Symbol(match_kind, index=index))
-            return
-        if size == 4:
-            self._encode_literal(block, overlay, out)
-            return
-        half = size // 2
-        self._encode_block(block[:half], overlay, out, failed)
-        self._encode_block(block[half:], overlay, out, failed)
-        failed.append(block)
-
-    @staticmethod
-    def _encode_literal(block: bytes, overlay: _Overlay,
-                        out: List[Symbol]) -> None:
-        value = int.from_bytes(block, "big")
-        if value < (1 << 8):
-            out.append(Symbol("u8", value=value))
-        elif value < (1 << 16):
-            out.append(Symbol("u16", value=value))
-        else:
-            out.append(Symbol("u32", value=value))
-        overlay.insert(block)
-
-    # -- fast trial measurement ---------------------------------------------
-
-    #: (match bits, zero bits) per granularity, from Table 3
-    _MEASURE_BITS = {
-        4: (2 + POINTER_BITS[4], 4),
-        8: (4 + POINTER_BITS[8], 4),
-        16: (5 + POINTER_BITS[16], 5),
-        32: (5 + POINTER_BITS[32], 5),
-    }
-    _ZERO_LINE_BITS = 2 * PREFIX_CODES["z256"][1]
-
     def measure(self, line: bytes, dictionary: LbeDictionary) -> int:
         """Exact encoded size of ``line`` against ``dictionary`` without
         building symbols or touching the dictionary.
 
         Guaranteed equal to ``compress(line, dictionary,
-        commit=False).size_bits`` — multi-log trial placement calls this
-        on every active log for every fill, so it avoids the symbol
-        objects and ordered-overlay bookkeeping of the full encoder.
-
-        This is the repository's hottest kernel, so it runs an inlined
-        loop over the 256/128/64/32-bit granularities plus a
-        content-keyed LRU memo per dictionary (cross-line duplication
-        makes repeats common); both are bit-exact against
-        :func:`repro.perf.reference.reference_lbe_measure`, which also
-        serves the path when fast paths are disabled.
+        commit=False).size_bits``.  Multi-log trial placement calls this
+        on every active log for every fill, so it walks the cached block
+        plan with membership tests only, behind a content-keyed LRU memo
+        per dictionary (cross-line duplication makes repeats common).
         """
-        if not fast_paths_enabled():
-            from repro.perf.reference import reference_lbe_measure
-            return reference_lbe_measure(line, dictionary)
-        line = check_line(line)
-        if line == ZERO_LINE:
-            return self._ZERO_LINE_BITS
+        line, plan = self._plan_for(line)
         memo = dictionary._memo
         bits = memo.get(line)
         if bits is not None:
             del memo[line]
             memo[line] = bits  # LRU refresh
             return bits
-        bits = self._measure_impl(line, dictionary)
+        bits = _measure_tree(plan, dictionary)
         if len(memo) >= _MEASURE_MEMO_ENTRIES:
             del memo[next(iter(memo))]
         memo[line] = bits
-        return bits
-
-    @staticmethod
-    def _measure_impl(line: bytes, dictionary: LbeDictionary) -> int:
-        """Inlined measurement loop, bit-exact with the reference kernel.
-
-        The recursion of the reference implementation is unrolled into
-        explicit 32/16/8/4-byte levels; uncompressible blocks collect in
-        ``failed`` in the same post-order the recursion produced and are
-        allocated after each 256-bit chunk (paper §3.2.5), so capacity
-        freezes happen on exactly the same block as before.
-        """
-        maps = dictionary._maps
-        values = dictionary._values
-        m4, m8, m16, m32 = maps[4], maps[8], maps[16], maps[32]
-        room4 = DICT_CAPACITY[4] - len(values[4])
-        room8 = DICT_CAPACITY[8] - len(values[8])
-        room16 = DICT_CAPACITY[16] - len(values[16])
-        room32 = DICT_CAPACITY[32] - len(values[32])
-        a4: Dict[bytes, bool] = {}
-        a8: Dict[bytes, bool] = {}
-        a16: Dict[bytes, bool] = {}
-        a32: Dict[bytes, bool] = {}
-        bits = 0
-        for start in (0, CHUNK_BYTES):
-            chunk = line[start:start + CHUNK_BYTES]
-            if chunk == _Z32:
-                bits += 5
-                continue
-            if chunk in m32 or chunk in a32:
-                bits += 9
-                continue
-            failed: List[bytes] = []
-            for half in (chunk[:16], chunk[16:]):
-                if half == _Z16:
-                    bits += 5
-                    continue
-                if half in m16 or half in a16:
-                    bits += 10
-                    continue
-                for quarter in (half[:8], half[8:]):
-                    if quarter == _Z8:
-                        bits += 4
-                        continue
-                    if quarter in m8 or quarter in a8:
-                        bits += 10
-                        continue
-                    for word in (quarter[:4], quarter[4:]):
-                        if word == _Z4:
-                            bits += 4
-                            continue
-                        if word in m4 or word in a4:
-                            bits += 9
-                            continue
-                        if word[0] or word[1]:
-                            bits += 34      # u32 literal
-                        elif word[2]:
-                            bits += 19      # u16 literal
-                        else:
-                            bits += 12      # u8 literal
-                        if len(a4) < room4:
-                            a4[word] = True
-                    failed.append(quarter)
-                failed.append(half)
-            failed.append(chunk)
-            for block in failed:
-                size = len(block)
-                if size == 8:
-                    if block not in a8 and block not in m8 \
-                            and len(a8) < room8:
-                        a8[block] = True
-                elif size == 16:
-                    if block not in a16 and block not in m16 \
-                            and len(a16) < room16:
-                        a16[block] = True
-                elif block not in a32 and block not in m32 \
-                        and len(a32) < room32:
-                    a32[block] = True
         return bits
 
     # -- decompression ------------------------------------------------------

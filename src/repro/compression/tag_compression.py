@@ -62,14 +62,20 @@ DISTANCE_TABLE = _build_distance_table()
 
 
 def distance_code(distance: int) -> Tuple[int, int, int]:
-    """Map a distance (>=1) to ``(code, precision_bits, precision_value)``."""
+    """Map a distance (>=1) to ``(code, precision_bits, precision_value)``.
+
+    Codes 0-3 are distances 1-4; above that each pair of codes splits
+    the range ``2^(k+1)+1 .. 2^(k+2)`` whose precision is ``k`` bits, so
+    the row follows from the bit length of ``distance - 1``.
+    """
     if distance < 1 or distance > MAX_DISTANCE:
         raise CompressionError(f"distance {distance} is not delta-codable")
-    for code in range(len(DISTANCE_TABLE) - 1, -1, -1):
-        first, extra = DISTANCE_TABLE[code]
-        if distance >= first:
-            return code, extra, distance - first
-    raise CompressionError("unreachable")  # pragma: no cover
+    offset = distance - 1
+    extra = offset.bit_length() - 2
+    if extra <= 0:
+        return offset, 0, 0
+    return (2 * extra + 2 + ((offset >> extra) & 1), extra,
+            offset & ((1 << extra) - 1))
 
 
 def decode_distance(code: int, precision_value: int) -> int:
@@ -165,19 +171,20 @@ class TagCompressor:
 
     def measure(self, stream: TagStream, line_address: int) -> int:
         """Encoded size in bits without mutating ``stream``."""
-        for_delta = []
+        extra = None
         for base in stream.bases:
             if base is None:
                 continue
-            delta = line_address - base
-            if delta == 0 or abs(delta) > MAX_DISTANCE:
+            distance = abs(line_address - base)
+            if distance == 0 or distance > MAX_DISTANCE:
                 continue
-            _, extra, _ = distance_code(abs(delta))
-            for_delta.append(
-                self.entry_overhead_bits + CODE_BITS + SIGN_BITS + extra)
-        if for_delta:
-            return min(for_delta)
-        return self.entry_overhead_bits + CODE_BITS + FULL_TAG_BITS
+            # precision bits of distance_code(distance), in O(1)
+            bits = max(0, (distance - 1).bit_length() - 2)
+            if extra is None or bits < extra:
+                extra = bits
+        if extra is None:
+            return self.entry_overhead_bits + CODE_BITS + FULL_TAG_BITS
+        return self.entry_overhead_bits + CODE_BITS + SIGN_BITS + extra
 
     def decode(self, tokens: List[TagToken]) -> List[int]:
         """Replay a token stream back into the appended line addresses."""

@@ -299,7 +299,7 @@ class MorcCache(LLCInterface):
                          else self._trial_data_bits(log, data))
             tag_bits = self._trial_tag_bits(log, line_address)
             candidates.append(PlacementCandidate(log, data_bits, tag_bits))
-            self.stats.add("trial_compressions")
+        self.stats.add("trial_compressions", len(candidates))
         return candidates
 
     def _trial_data_bits(self, log: Log, data: bytes) -> int:
@@ -364,7 +364,7 @@ class MorcCache(LLCInterface):
             data_bits = min(compressed.size_bits, UNCOMPRESSED_LINE_BITS)
             token = self._tag_compressor.append(log.tag_stream, line_address)
             tag_bits = token.size_bits
-            self._account_symbols(compressed, data)
+            self._account_symbols(compressed)
             if snapshot is not None:
                 res_verify.verify_lbe_roundtrip(
                     self._compressor, data, snapshot, compressed,
@@ -399,15 +399,20 @@ class MorcCache(LLCInterface):
                                  bit=flip, bits=data_bits)
         return entry
 
-    def _account_symbols(self, compressed, data: bytes) -> None:
-        """Track Figure 7's per-symbol usage (bytes represented + zeros)."""
-        offset = 0
+    def _account_symbols(self, compressed) -> None:
+        """Track Figure 7's per-symbol usage (bytes represented + zeros).
+
+        Only z* symbols stand for zeros: literals are non-zero words, and
+        dictionary entries are literals or blocks that failed to match,
+        neither of which is ever all-zero.
+        """
+        usage, zero_usage = self.symbol_usage, self.symbol_zero_usage
         for symbol in compressed.symbols:
+            kind = symbol.kind
             size = symbol.data_bytes
-            self.symbol_usage[symbol.kind] += size
-            if not any(data[offset:offset + size]):
-                self.symbol_zero_usage[symbol.kind] += size
-            offset += size
+            usage[kind] += size
+            if kind[0] == "z":
+                zero_usage[kind] += size
 
     # -- log lifecycle ------------------------------------------------------------
 

@@ -16,6 +16,10 @@ costs a tag decompression before the miss is known.
 
 ``unlimited=True`` removes capacity and conflicts entirely (used by the
 paper's Figure 13 limit study).
+
+Because the table is sized for the best-case compression, most of it is
+idle in a run; a set's entries are built on its first :meth:`allocate`,
+and a set never allocated into answers every lookup with a miss.
 """
 
 from __future__ import annotations
@@ -75,9 +79,8 @@ class LineMapTable:
         self.ways = ways
         self.n_entries = n_entries
         self.n_sets = (n_entries // ways) if not unlimited else 0
-        self._sets: List[List[LmtEntry]] = (
-            [] if unlimited
-            else [[LmtEntry() for _ in range(ways)] for _ in range(self.n_sets)])
+        #: set index -> its ways, for the sets allocated into so far
+        self._sets: Dict[int, List[LmtEntry]] = {}
         self._unlimited_map: Dict[int, LmtEntry] = {}
         self._clock = 0
         self.stats = StatGroup("LMT")
@@ -85,9 +88,6 @@ class LineMapTable:
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
-
-    def _set_for(self, line_address: int) -> List[LmtEntry]:
-        return self._sets[line_address % self.n_sets]
 
     def lookup(self, line_address: int) -> Tuple[Optional[LmtEntry], bool]:
         """Find the entry tracking ``line_address``.
@@ -104,7 +104,7 @@ class LineMapTable:
                 return entry, False
             return None, False
         aliased = False
-        for entry in self._set_for(line_address):
+        for entry in self._sets.get(line_address % self.n_sets, ()):
             if not entry.is_valid:
                 continue
             if entry.line_address == line_address:
@@ -132,7 +132,11 @@ class LineMapTable:
             entry.line_address = line_address
             entry.last_use = self._tick()
             return entry, None
-        candidates = self._set_for(line_address)
+        set_index = line_address % self.n_sets
+        candidates = self._sets.get(set_index)
+        if candidates is None:
+            candidates = [LmtEntry() for _ in range(self.ways)]
+            self._sets[set_index] = candidates
         free: Optional[LmtEntry] = None
         for entry in candidates:
             if entry.is_valid and entry.line_address == line_address:
@@ -165,7 +169,7 @@ class LineMapTable:
         """Number of valid entries (test/debug hook)."""
         if self.unlimited:
             return sum(1 for e in self._unlimited_map.values() if e.is_valid)
-        return sum(1 for s in self._sets for e in s if e.is_valid)
+        return sum(1 for s in self._sets.values() for e in s if e.is_valid)
 
     def audit(self) -> List[str]:
         """Check the table's structural invariants; returns violations.
@@ -181,7 +185,7 @@ class LineMapTable:
                         f"LMT: entry keyed 0x{line_address:x} records "
                         f"line 0x{entry.line_address:x}")
             return violations
-        for set_index, entries in enumerate(self._sets):
+        for set_index, entries in sorted(self._sets.items()):
             seen: Dict[int, bool] = {}
             for entry in entries:
                 if not entry.is_valid:

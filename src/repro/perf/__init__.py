@@ -1,17 +1,9 @@
-"""Performance subsystem: fast-path gating, reference kernels, timing.
+"""Performance subsystem: benchmark corpora and timing.
 
 The simulator's throughput is part of the reproduction's fidelity story
 (the paper sweeps ~26 benchmarks x 4 schemes x several configs); this
-package holds everything that makes the evaluation fast without changing
-a single output bit:
+package holds what measures it:
 
-- :mod:`repro.perf.fastpath` — the ``REPRO_FAST`` switch that gates the
-  optimised compression kernels (memoisation, inlined hot loops).  With
-  fast paths disabled the codecs fall back to the reference kernels, so
-  before/after comparisons are measurable on any host.
-- :mod:`repro.perf.reference` — straight-line reference implementations
-  of the hot kernels, kept as the golden standard the optimised paths
-  are tested against (``tests/test_perf_equivalence.py``).
 - :mod:`repro.perf.corpus` — deterministic cache-line corpora spanning
   the data archetypes (zero-, duplicate-, pointer-, text-, random-heavy)
   used by the golden tests and ``benchmarks/bench_perf.py``.
@@ -19,7 +11,6 @@ a single output bit:
   ``BENCH_perf.json`` trajectory.
 """
 
-from repro.perf.fastpath import fast_paths_enabled, set_fast_paths
 from repro.perf.timing import (
     ExperimentTiming,
     clear_timings,
@@ -28,8 +19,6 @@ from repro.perf.timing import (
 )
 
 __all__ = [
-    "fast_paths_enabled",
-    "set_fast_paths",
     "ExperimentTiming",
     "clear_timings",
     "timed_experiment",

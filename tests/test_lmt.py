@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.common.config import MorcConfig, SystemConfig
 from repro.common.errors import CacheError
+from repro.conformance.reference import RefMorcCache
+from repro.conformance.streams import STREAM_MIXES, collect_stream
+from repro.morc import lmt as lmt_module
+from repro.morc.cache import MorcCache
 from repro.morc.lmt import LineMapTable, LmtState
+from repro.sim.system import make_llc
 
 
 class TestLookup:
@@ -116,3 +122,67 @@ class TestValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(CacheError):
             LineMapTable(n_entries=0, ways=2)
+
+
+class TestLazySets:
+    """The table is sized for 8x compression but built only where used."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``LmtEntry`` the table constructs."""
+        built = []
+
+        class CountedEntry(lmt_module.LmtEntry):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(lmt_module, "LmtEntry", CountedEntry)
+        return built
+
+    def test_untouched_table_allocates_nothing(self, built):
+        # The shared 2MB LLC of the Figure 8 mixes (16 x 128KB slices).
+        config = SystemConfig()
+        llc = make_llc("MORC", config,
+                       capacity_bytes=config.llc_per_core.size_bytes * 16)
+        assert llc.lmt.n_entries == 262_144
+        for address in range(0, 5_000 * 64, 64):
+            assert not llc.read(address).hit
+            assert not llc.contains(address)
+        assert built == []
+        assert llc.lmt.valid_count() == 0
+        assert llc.lmt.audit() == []
+
+    def test_allocate_builds_one_set(self, built):
+        lmt = LineMapTable(n_entries=1024, ways=2)
+        entry, _ = lmt.allocate(7)
+        assert len(built) == 2
+        entry.state = LmtState.VALID
+        entry.entry_ref = object()
+        assert lmt.lookup(7 + lmt.n_sets) == (None, True)
+        assert lmt.lookup(8) == (None, False)
+        assert len(built) == 2
+        assert lmt.valid_count() == 1
+        assert lmt.audit() == []
+
+    @pytest.mark.parametrize("mix", list(STREAM_MIXES)[:2])
+    def test_replay_agrees_with_eager_reference(self, mix):
+        config = MorcConfig()
+        prod = MorcCache(8 * 1024, config)
+        gold = RefMorcCache(8 * 1024, config, algorithm="lbe")
+        for step, record in enumerate(collect_stream(
+                mix, 400, seed=3, working_set_lines=320)):
+            address = record.address
+            assert prod.contains(address) == gold.contains(address)
+            hit = prod.read(address).hit
+            assert hit == gold.read(address)[0], step
+            if not hit:
+                prod.fill(address, record.data)
+                gold.fill(address, record.data)
+            if record.is_write:
+                prod.writeback(address, record.data)
+                gold.writeback(address, record.data)
+        assert prod.lmt.valid_count() == sum(
+            way.is_valid for ways in gold.lmt_sets for way in ways)
+        assert prod.lmt.audit() == []
+        assert 0 < len(prod.lmt._sets) < prod.lmt.n_sets

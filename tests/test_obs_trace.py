@@ -190,9 +190,9 @@ def test_cli_list_shows_obs_knobs(capsys):
     for category in ("llc", "compression", "mem", "run", "engine"):
         assert category in output
     for knob in ("REPRO_OBS", "REPRO_OBS_TRACE", "REPRO_OBS_CATEGORIES",
-                 "REPRO_OBS_SAMPLE", "REPRO_JOBS", "REPRO_FAST",
-                 "REPRO_SCALE"):
+                 "REPRO_OBS_SAMPLE", "REPRO_JOBS", "REPRO_SCALE"):
         assert knob in output
+    assert "REPRO_FAST" not in output
 
 
 # -- config parsing ------------------------------------------------------

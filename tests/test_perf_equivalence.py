@@ -1,13 +1,13 @@
 """Golden tests: the optimised hot paths are bit-exact, and the
 parallel experiment engine is deterministic.
 
-Every fast path (memoised LBE measure, inlined measure loop, prefix
-lookup tables, chunked BitWriter, C-Pack/FPC memos) must produce results
-identical to the reference kernels in ``repro.perf.reference`` — same
-bit counts, same symbol streams, same committed dictionary state.  The
-corpora cover all data archetypes and the dictionaries evolve across
-lines, so freeze/capacity edge cases are exercised, not just the easy
-steady state.
+Every optimised kernel (planned and memoised LBE measure, one-pass LBE
+encoder, prefix lookup tables, chunked BitWriter, C-Pack/FPC memos) must
+produce results identical to the oracles in
+``repro.conformance.oracles`` — same bit counts, same symbol streams,
+same committed dictionary state.  The corpora cover all data archetypes
+and the dictionaries evolve across lines, so freeze/capacity edge cases
+are exercised, not just the easy steady state.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from repro.common.errors import CompressionError, ConfigError
 from repro.compression.cpack import CPackCompressor
 from repro.compression.fpc import FpcCompressor
 from repro.compression.lbe import LbeCompressor, LbeDictionary
-from repro.experiments import figure6, parallel
-from repro.experiments.runner import scale_instructions
-from repro.perf.corpus import ARCHETYPES, line_corpus, mixed_stream
-from repro.perf.fastpath import fast_paths_enabled, set_fast_paths
-from repro.perf.reference import (
+from repro.conformance.oracles import (
     ReferenceBitWriter,
     reference_cpack_bits,
     reference_cpack_tokens,
@@ -32,33 +28,28 @@ from repro.perf.reference import (
     reference_lbe_compress,
     reference_lbe_measure,
 )
-
-
-@pytest.fixture
-def fast_paths():
-    """Force fast paths on for a test, restoring the prior setting."""
-    previous = set_fast_paths(True)
-    yield
-    set_fast_paths(previous)
+from repro.experiments import figure6, parallel
+from repro.experiments.runner import scale_instructions
+from repro.perf.corpus import ARCHETYPES, line_corpus, mixed_stream
 
 
 # -- LBE ----------------------------------------------------------------
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_lbe_measure_matches_reference(archetype, fast_paths):
+def test_lbe_measure_matches_reference(archetype):
     compressor = LbeCompressor()
-    fast_dict, reference_dict = LbeDictionary(), LbeDictionary()
+    live_dict, reference_dict = LbeDictionary(), LbeDictionary()
     for index, line in enumerate(line_corpus(archetype, count=48)):
-        assert (compressor.measure(line, fast_dict)
+        assert (compressor.measure(line, live_dict)
                 == reference_lbe_measure(line, reference_dict))
         # Evolve both dictionaries identically so later measures see
         # frozen/partial capacity states.
         if index % 3 == 0:
-            compressor.compress(line, fast_dict, commit=True)
+            compressor.compress(line, live_dict, commit=True)
             reference_lbe_compress(line, reference_dict, commit=True)
 
 
-def test_lbe_measure_memo_matches_recompute(fast_paths):
+def test_lbe_measure_memo_matches_recompute():
     compressor = LbeCompressor()
     dictionary = LbeDictionary()
     lines = mixed_stream(count=64)
@@ -73,31 +64,18 @@ def test_lbe_measure_memo_matches_recompute(fast_paths):
                 == reference_lbe_measure(line, dictionary))
 
 
-def test_lbe_compress_identical_symbol_streams(fast_paths):
+def test_lbe_compress_identical_symbol_streams():
     compressor = LbeCompressor()
-    fast_dict, reference_dict = LbeDictionary(), LbeDictionary()
+    live_dict, reference_dict = LbeDictionary(), LbeDictionary()
     for line in mixed_stream(count=96):
-        fast = compressor.compress(line, fast_dict, commit=True)
+        live = compressor.compress(line, live_dict, commit=True)
         reference = reference_lbe_compress(line, reference_dict,
                                            commit=True)
-        assert fast.symbols == reference.symbols
-        assert fast.size_bits == reference.size_bits
+        assert live.symbols == reference.symbols
+        assert live.size_bits == reference.size_bits
 
 
-def test_lbe_fast_paths_off_still_exact():
-    previous = set_fast_paths(False)
-    try:
-        assert not fast_paths_enabled()
-        compressor = LbeCompressor()
-        dictionary = LbeDictionary()
-        for line in mixed_stream(count=32):
-            assert (compressor.measure(line, dictionary)
-                    == reference_lbe_measure(line, dictionary))
-    finally:
-        set_fast_paths(previous)
-
-
-def test_lbe_roundtrip_through_bitstream(fast_paths):
+def test_lbe_roundtrip_through_bitstream():
     compressor = LbeCompressor()
     write_dict = LbeDictionary()
     lines = mixed_stream(count=48)
@@ -116,7 +94,7 @@ def test_lbe_roundtrip_through_bitstream(fast_paths):
 # -- C-Pack / FPC -------------------------------------------------------
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_cpack_matches_reference(archetype, fast_paths):
+def test_cpack_matches_reference(archetype):
     compressor = CPackCompressor()
     for line in line_corpus(archetype, count=48):
         tokens = compressor.compress_tokens(line)
@@ -133,7 +111,7 @@ def test_cpack_matches_reference(archetype, fast_paths):
 
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_fpc_matches_reference(archetype, fast_paths):
+def test_fpc_matches_reference(archetype):
     compressor = FpcCompressor()
     for line in line_corpus(archetype, count=48):
         tokens = compressor.compress_tokens(line)
@@ -228,26 +206,3 @@ def test_scale_instructions_rejects_bad_values(monkeypatch):
 def test_run_spec_memory_keys():
     with pytest.raises(ConfigError):
         parallel._make_memory("warp", None)
-
-
-# -- slow end-to-end equivalence (excluded from tier-1 via -m perf) -----
-
-@pytest.mark.perf
-def test_end_to_end_fast_paths_bit_exact():
-    """A full simulation produces identical results with fast paths
-    forced off — the whole-stack version of the kernel tests above."""
-    from repro.sim.system import run_single_program
-    previous = set_fast_paths(False)
-    try:
-        reference = run_single_program("gcc", "MORC",
-                                       n_instructions=30_000)
-    finally:
-        set_fast_paths(previous)
-    previous = set_fast_paths(True)
-    try:
-        fast = run_single_program("gcc", "MORC", n_instructions=30_000)
-    finally:
-        set_fast_paths(previous)
-    assert fast.compression_ratio == reference.compression_ratio
-    assert fast.ipc == reference.ipc
-    assert fast.symbol_counters == reference.symbol_counters

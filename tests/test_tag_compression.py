@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import CompressionError
 from repro.compression.tag_compression import (
+    DISTANCE_TABLE,
     FULL_TAG_BITS,
     MAX_DISTANCE,
     TagCompressor,
@@ -25,6 +26,25 @@ class TestDistanceTable:
         got_code, got_extra, _ = distance_code(distance)
         assert got_code == code
         assert got_extra == extra
+
+    def test_every_distance_matches_a_table_scan(self):
+        """The O(1) code equals a scan of Table 2's rows, and decodes back,
+        for every codable distance."""
+        def scan(distance):
+            for code in range(len(DISTANCE_TABLE) - 1, -1, -1):
+                first, extra = DISTANCE_TABLE[code]
+                if distance >= first:
+                    return code, extra, distance - first
+
+        for distance in range(1, MAX_DISTANCE + 1):
+            code, extra, value = distance_code(distance)
+            assert (code, extra, value) == scan(distance)
+            assert decode_distance(code, value) == distance
+
+    @pytest.mark.parametrize("distance", [-1, 0, MAX_DISTANCE + 1, 1 << 40])
+    def test_uncodable_distances_raise(self, distance):
+        with pytest.raises(CompressionError):
+            distance_code(distance)
 
     def test_out_of_range_raises(self):
         with pytest.raises(CompressionError):
