@@ -240,7 +240,7 @@ def _command_list() -> int:
     print("  " + " ".join(STREAM_MIXES))
     print("\nenvironment knobs:")
     knobs = (
-        ("REPRO_OBS", "enable metrics + event tracing (default 0)"),
+        ("REPRO_OBS", "enable event tracing (default 0)"),
         ("REPRO_OBS_TRACE", "trace output path "
                             "(default repro_obs.jsonl)"),
         ("REPRO_OBS_CATEGORIES", "comma-separated category filter "

@@ -66,8 +66,6 @@ def compare_codecs(lines: Iterable[bytes],
     ``sc2`` is trained on the same lines before measuring (its usual
     sampled-dictionary deployment).
     """
-    from repro.obs.registry import get_registry
-    registry = get_registry()
     lines = [check_line(line) for line in lines]
     if not lines:
         return {name: 0.0 for name in codecs}
@@ -87,7 +85,4 @@ def compare_codecs(lines: Iterable[bytes],
         else:
             raise KeyError(f"unknown codec {name!r}")
         results[name] = total / len(lines)
-        registry.counter(f"codec.{name}.lines").inc(len(lines))
-        registry.histogram(f"codec.{name}.bits_per_line").observe(
-            results[name])
     return results

@@ -353,21 +353,11 @@ def _replay_channel(recorder: _Recorder, prod, gold,
 
     Arrival times advance by the record gaps so the schedule mixes idle
     periods with bursts (both the ``max(now, free)`` arms get exercised).
-    Halfway through, both sides ``reset()`` — the warm-up/measure phase
-    boundary — which must leave them in agreement starting from zero
-    backlog.
     """
     now = 0.0
     steps = 0
-    half = len(records) // 2
     for step, record in enumerate(records):
         now += (record.gap + 1) * step_cycles
-        if step == half:
-            prod.reset()
-            gold.reset()
-            if hasattr(prod, "_free_at"):
-                recorder.expect(step, "free_at_after_reset", 0.0,
-                                prod._free_at)
         if record.is_write:
             prod.write(now, record.address, record.data)
             gold.write(now, record.address, record.data)

@@ -322,11 +322,6 @@ class RefFcfsChannel:
         self.events.append((start, start + occupancy, "write"))
         self._count("writes")
 
-    def reset(self) -> None:
-        self.events.clear()
-        self.counters.clear()
-
-
 class RefBankedChannel:
     """Naive event-list model of the closed-page multi-bank DDR3 channel.
 
@@ -390,12 +385,6 @@ class RefBankedChannel:
               data: Optional[bytes] = None) -> None:
         self._serve(now, address)
         self._count("writes")
-
-    def reset(self) -> None:
-        self.bank_events = [[] for _ in range(self.n_banks)]
-        self.bus_events = []
-        self.counters.clear()
-
 
 # -- MORC log / LMT occupancy model --------------------------------------------
 

@@ -54,24 +54,11 @@ class BankedMemoryChannel:
         self._bus_free = 0.0
         self.stats = StatGroup("banked-memory")
         self._obs_countdown = 0
-        timing.register_observability(core_hz)
 
     @property
     def transfer_cycles(self) -> float:
         """Bus occupancy of one 64B line, in core cycles."""
         return self.config.cycles_per_line_transfer
-
-    def reset(self) -> None:
-        """Drop all bank/bus backlog and statistics.
-
-        Mirrors :meth:`repro.mem.controller.MemoryChannel.reset`: reusing
-        a channel across measurement phases must not leak the previous
-        phase's ``_bank_free``/``_bus_free`` horizon into the next one.
-        """
-        self._bank_free = [0.0] * self.n_banks
-        self._bus_free = 0.0
-        self._obs_countdown = 0
-        self.stats.reset()
 
     def _bank_for(self, address: int) -> int:
         # Closed-page interleave: consecutive lines hit different banks.

@@ -54,20 +54,6 @@ class MemoryChannel:
         """Channel occupancy of one 64B line, in core cycles."""
         return self.config.cycles_per_line_transfer
 
-    def reset(self) -> None:
-        """Drop all scheduling backlog and statistics.
-
-        For reusing one channel object across independent measurement
-        phases (e.g. warm-up experiments that restart the clock at 0):
-        without this, ``_free_at`` keeps the previous phase's queue
-        backlog and every later-phase request pays phantom queueing
-        delay.  Within a single run, warm-up is carved off by metric
-        snapshots instead — the channel must stay warm there.
-        """
-        self._free_at = 0.0
-        self._obs_countdown = 0
-        self.stats.reset()
-
     def read(self, now: float, address: int = 0,
              data: Optional[bytes] = None) -> float:
         """Issue a demand read at core-cycle ``now``; returns its latency.

@@ -46,21 +46,4 @@ class Ddr3Timing:
         """Precharge (bank-restore) time in core cycles."""
         return round(self.t_rp / self.frequency_hz * core_hz)
 
-    def register_observability(self, core_hz: float = CLOCK_HZ) -> None:
-        """Publish the derived latencies as registry gauges.
-
-        The timing model is pure arithmetic, so what observability needs
-        from it is the resolved constants every channel was built with —
-        traceable next to the queue samples they explain.  No-op when
-        ``REPRO_OBS`` is off.
-        """
-        from repro.obs.registry import get_registry
-        registry = get_registry()
-        registry.gauge("dram.frequency_hz").set(self.frequency_hz)
-        registry.gauge("dram.access_latency_core_cycles").set(
-            self.access_latency_core_cycles(core_hz))
-        registry.gauge("dram.restore_latency_core_cycles").set(
-            self.restore_latency_core_cycles(core_hz))
-
-
 DEFAULT_DDR3 = Ddr3Timing()

@@ -1,10 +1,8 @@
-"""``repro.obs`` — observability: metrics registry, event tracing, profiling.
+"""``repro.obs`` — observability: event tracing and profiling.
 
-Three layers, all off by default (``REPRO_OBS=0``) so the simulator pays
-nothing and stays bit-identical when unobserved:
+Both are off by default (``REPRO_OBS=0``) so the simulator pays nothing
+and stays bit-identical when unobserved:
 
-- :mod:`repro.obs.registry` — ``Counter``/``Gauge``/``Histogram``/
-  ``Timer`` instruments that collapse to shared no-ops when disabled;
 - :mod:`repro.obs.trace` — per-category JSONL event tracing (``llc``,
   ``compression``, ``mem``, ``run``, ``engine``), summarised by
   ``python -m repro obs <trace>``;
@@ -31,23 +29,13 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.obs import config as _config
-from repro.obs import registry as _registry
 from repro.obs import trace as _trace
 from repro.obs.config import ALL_CATEGORIES, ObsConfig
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    get_registry,
-)
 from repro.obs.reservoir import MissSeries, Reservoir
 
 __all__ = [
-    "ALL_CATEGORIES", "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "MissSeries", "ObsConfig", "Reservoir", "Timer", "configure",
-    "get_registry", "obs_enabled", "reset",
+    "ALL_CATEGORIES", "MissSeries", "ObsConfig", "Reservoir", "configure",
+    "obs_enabled", "reset",
 ]
 
 
@@ -62,8 +50,7 @@ def configure(enabled: Optional[bool] = None,
               mem_sample_interval: Optional[int] = None) -> ObsConfig:
     """Override observability settings at runtime (None = keep current).
 
-    Rebinds the tracer's category channels and rebuilds the metrics
-    registry, so previously recorded instrument values are dropped.
+    Rebinds the tracer's category channels.
     """
     base = _config.current()
     updated = ObsConfig(
@@ -76,7 +63,6 @@ def configure(enabled: Optional[bool] = None,
                              if mem_sample_interval is None
                              else int(mem_sample_interval)))
     _config.set_current(updated)
-    _registry.refresh()
     _trace.refresh()
     return updated
 
@@ -84,7 +70,6 @@ def configure(enabled: Optional[bool] = None,
 def reset() -> ObsConfig:
     """Reload settings from the environment (undo :func:`configure`)."""
     _config.set_current(_config.load_from_env())
-    _registry.refresh()
     _trace.refresh()
     _trace.clear_context()
     return _config.current()

@@ -1,18 +1,14 @@
 """Bounded-memory streaming statistics: reservoir sampling + exact moments.
 
-Two consumers share this module:
-
-- the observability registry's :class:`~repro.obs.registry.Histogram`
-  wraps a :class:`Reservoir` for quantiles over unbounded streams;
-- :class:`repro.sim.metrics.RunMetrics` replaces its plain
-  ``miss_latencies``/``miss_gaps`` lists with :class:`MissSeries`, fixing
-  the unbounded memory growth those lists had on long runs.
+:class:`repro.sim.metrics.RunMetrics` keeps its ``miss_latencies`` and
+``miss_gaps`` streams in :class:`MissSeries`, so a long run's memory
+stays bounded.
 
 Design constraints (why this is not just ``random.sample``):
 
 - **Exact below capacity.**  While ``count <= capacity`` the reservoir
   stores the full history in arrival order, so every downstream
-  computation (throughput sums, CGMT replay, warm-up slicing) is
+  computation (throughput sums, CGMT replay) is
   bit-identical to the old list-backed behaviour.  Only past capacity
   does it degrade to a uniform sample — with ``sum``/``count``/``min``/
   ``max`` still exact, streamed.
@@ -162,29 +158,6 @@ class MissSeries(Reservoir):
             return
         for value in values:
             self.observe(value)
-
-    def since(self, n_earlier: int) -> "MissSeries":
-        """Values observed after the first ``n_earlier`` (warm-up cut).
-
-        Exact while the full history is stored; after overflow the cut
-        falls back to scaling the whole-stream aggregates by the
-        surviving fraction (the sample then represents the entire run,
-        which is the best a bounded stream can reconstruct).
-        """
-        out = MissSeries(capacity=self.capacity)
-        if self.exact:
-            for value in self._samples[n_earlier:]:
-                out.observe(value)
-            return out
-        remaining = max(0, self.count - n_earlier)
-        if remaining == 0:
-            return out
-        fraction = remaining / self.count
-        for value in self._samples:
-            out.observe(value)
-        out.count = remaining
-        out.total = self.total * fraction
-        return out
 
     def __getitem__(self, index):
         """Slice/index over the stored samples (list compatibility)."""

@@ -17,6 +17,7 @@ Figure 12 shows bloats logs with dead lines.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from repro.cache.base import FillResult, LLCInterface
@@ -47,41 +48,45 @@ class CoreSimulator:
         self.metrics = RunMetrics()
         self._next_sample = sample_interval
         self._cycles_at_last_miss = 0.0
+        self._measure_start = 0.0
 
     def run(self, trace: Iterable[TraceRecord],
             warmup_instructions: int = 0) -> RunMetrics:
-        """Execute the whole trace; returns this thread's metrics.
+        """Execute the whole trace; returns this thread's measured metrics.
 
         ``warmup_instructions`` mirrors the paper's methodology (100M
-        warm-up before a 30M measured region): caches and the memory
-        channel stay warm but metrics and statistics restart at the
-        boundary.
+        warm-up before a 30M measured region): the caches, the memory
+        channel and the core clock run on through the boundary, while
+        counters and statistics restart there.
         """
-        warmed = warmup_instructions <= 0
+        warming = warmup_instructions > 0
         for record in trace:
             self.step(record)
-            if not warmed and self.metrics.instructions >= warmup_instructions:
-                warmed = True
-                self.reset_measurement()
+            if warming and self.metrics.instructions >= warmup_instructions:
+                warming = False
+                self.start_measurement()
+                restart_shared_stats(self.llc, self.memory)
         self.llc.sample_ratio()
-        return self.metrics
+        return self.measured()
 
-    def reset_measurement(self) -> None:
-        """Restart metrics/statistics while keeping all state warm."""
-        self.metrics = RunMetrics()
-        self._cycles_at_last_miss = 0.0
-        self.llc.stats.reset()
-        self.memory.stats.reset()
-        self.l1.stats.reset()
+    def start_measurement(self) -> None:
+        """Open this thread's measured region, keeping all state warm.
+
+        Counters and miss series restart empty but the clock keeps
+        running, so the memory channel's schedule and the miss gaps see
+        one monotonic time line.  The ratio-sample schedule restarts with
+        the instruction count.
+        """
+        clock = self.metrics.cycles
+        self.metrics = RunMetrics(cycles=clock)
+        self._measure_start = clock
         self._next_sample = self.sample_interval
-        histogram = getattr(self.llc, "latency_bytes_histogram", None)
-        if histogram is not None:
-            histogram.clear()
-        channel = obs_trace.RUN
-        if channel is not None:
-            # Lets the trace summariser discard warm-up ratio samples,
-            # mirroring the stats reset above.
-            channel.emit("measure_start", cache=self.llc.name)
+        self.l1.stats.reset()
+
+    def measured(self) -> RunMetrics:
+        """This thread's metrics, cycles counted from the measurement start."""
+        return replace(self.metrics,
+                       cycles=self.metrics.cycles - self._measure_start)
 
     def step(self, record: TraceRecord) -> None:
         """Execute one memory access (plus its preceding gap)."""
@@ -138,3 +143,17 @@ class CoreSimulator:
         if self.metrics.instructions >= self._next_sample:
             self.llc.sample_ratio()
             self._next_sample += self.sample_interval
+
+
+def restart_shared_stats(llc: LLCInterface, memory: MemoryChannel) -> None:
+    """Restart the shared LLC's and channel's statistics at the boundary."""
+    llc.stats.reset()
+    memory.stats.reset()
+    histogram = getattr(llc, "latency_bytes_histogram", None)
+    if histogram is not None:
+        histogram.clear()
+    channel = obs_trace.RUN
+    if channel is not None:
+        # Lets the trace summariser discard warm-up ratio samples,
+        # mirroring the stats reset above.
+        channel.emit("measure_start", cache=llc.name)

@@ -63,10 +63,6 @@ class RunMetrics:
         """Cycles net of memory stalls (gap execution under CPI=1)."""
         return self.cycles - series_total(self.miss_latencies)
 
-    def snapshot(self) -> "MetricsSnapshot":
-        """Capture current scalar totals for later warm-up subtraction."""
-        return MetricsSnapshot.capture(self)
-
     def merge(self, other: "RunMetrics") -> None:
         """Accumulate another thread's counters (multi-program reporting)."""
         self.instructions += other.instructions
@@ -79,59 +75,3 @@ class RunMetrics:
         self.memory_writes += other.memory_writes
         self.miss_latencies.extend(other.miss_latencies)
         self.miss_gaps.extend(other.miss_gaps)
-
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """Scalar snapshot of :class:`RunMetrics` for warm-up subtraction.
-
-    Thread-local clocks must stay monotonic for shared-channel FCFS
-    arithmetic, so warm-up regions are carved off by subtracting a
-    snapshot instead of resetting metrics mid-run.
-    """
-
-    instructions: int
-    cycles: float
-    l1_accesses: int
-    l1_misses: int
-    llc_hits: int
-    llc_misses: int
-    memory_reads: int
-    memory_writes: int
-    n_latencies: int
-
-    @classmethod
-    def empty(cls) -> "MetricsSnapshot":
-        return cls(0, 0.0, 0, 0, 0, 0, 0, 0, 0)
-
-    @classmethod
-    def capture(cls, metrics: RunMetrics) -> "MetricsSnapshot":
-        return cls(metrics.instructions, metrics.cycles,
-                   metrics.l1_accesses, metrics.l1_misses,
-                   metrics.llc_hits, metrics.llc_misses,
-                   metrics.memory_reads, metrics.memory_writes,
-                   len(metrics.miss_latencies))
-
-    def delta_from(self, metrics: RunMetrics) -> RunMetrics:
-        """Metrics accumulated since this snapshot was taken."""
-        measured = RunMetrics()
-        measured.instructions = metrics.instructions - self.instructions
-        measured.cycles = metrics.cycles - self.cycles
-        measured.l1_accesses = metrics.l1_accesses - self.l1_accesses
-        measured.l1_misses = metrics.l1_misses - self.l1_misses
-        measured.llc_hits = metrics.llc_hits - self.llc_hits
-        measured.llc_misses = metrics.llc_misses - self.llc_misses
-        measured.memory_reads = metrics.memory_reads - self.memory_reads
-        measured.memory_writes = (metrics.memory_writes
-                                  - self.memory_writes)
-        measured.miss_latencies = _tail(metrics.miss_latencies,
-                                        self.n_latencies)
-        measured.miss_gaps = _tail(metrics.miss_gaps, self.n_latencies)
-        return measured
-
-
-def _tail(series, n_earlier: int):
-    """Miss values after the snapshot point, reservoir- or list-backed."""
-    if isinstance(series, MissSeries):
-        return series.since(n_earlier)
-    return series[n_earlier:]

@@ -6,10 +6,10 @@ threads, any traces, any LLC model and memory channel — the building
 block for custom co-scheduling studies.
 
 Threads interleave round-robin (one access per turn) with independent
-clocks; the shared channel arbitrates FCFS on those clocks.  Warm-up is
-handled by snapshot-subtraction (:class:`repro.sim.metrics
-.MetricsSnapshot`) so thread clocks stay monotonic for the channel
-arithmetic.
+clocks; the shared channel arbitrates FCFS on those clocks.  Each thread
+opens its measured region when it crosses the warm-up boundary
+(:meth:`repro.sim.core.CoreSimulator.start_measurement`), with its clock
+running on; the shared statistics restart once every thread has crossed.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from repro.cache.l1 import L1Cache
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.mem.controller import MemoryChannel
-from repro.obs import trace as obs_trace
-from repro.sim.core import CoreSimulator
-from repro.sim.metrics import MetricsSnapshot, RunMetrics
+from repro.sim.core import CoreSimulator, restart_shared_stats
+from repro.sim.metrics import RunMetrics
 
 
 @dataclass
@@ -75,11 +74,9 @@ class MultiCoreSystem:
         if len(traces) != len(self.cores):
             raise ConfigError(
                 f"{len(traces)} traces for {len(self.cores)} threads")
-        iterators = [iter(trace) for trace in traces]
-        live = list(enumerate(iterators))
-        snapshots: List[Optional[MetricsSnapshot]] = [
-            None if warmup_instructions > 0 else MetricsSnapshot.empty()
-            for _ in self.cores]
+        live = list(enumerate(iter(trace) for trace in traces))
+        warming = [warmup_instructions > 0] * len(self.cores)
+        waiting = sum(warming)
         while live:
             still_live = []
             for index, iterator in live:
@@ -88,25 +85,18 @@ class MultiCoreSystem:
                     continue
                 core = self.cores[index]
                 core.step(record)
-                if (snapshots[index] is None
+                if (warming[index]
                         and core.metrics.instructions
                         >= warmup_instructions):
-                    snapshots[index] = core.metrics.snapshot()
-                    if all(s is not None for s in snapshots):
-                        self.llc.stats.reset()
-                        self.memory.stats.reset()
-                        channel = obs_trace.RUN
-                        if channel is not None:
-                            channel.emit("measure_start",
-                                         cache=self.llc.name)
+                    warming[index] = False
+                    core.start_measurement()
+                    waiting -= 1
+                    if not waiting:
+                        restart_shared_stats(self.llc, self.memory)
                 still_live.append((index, iterator))
             live = still_live
         self.llc.sample_ratio()
-        per_thread = []
-        for core, snapshot in zip(self.cores, snapshots):
-            snapshot = snapshot or core.metrics.snapshot()
-            per_thread.append(snapshot.delta_from(core.metrics))
         return MultiCoreResult(
-            per_thread=per_thread,
+            per_thread=[core.measured() for core in self.cores],
             compression_ratio=self.llc.mean_compression_ratio(),
             llc_stats=self.llc.stats.as_dict())

@@ -9,7 +9,6 @@ This is the main entry point the examples and experiments drive:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +25,6 @@ from repro.common.errors import ConfigError
 from repro.mem.controller import MemoryChannel
 from repro.morc.cache import MorcCache
 from repro.obs import trace as obs_trace
-from repro.obs.registry import get_registry
 from repro.sim.core import CoreSimulator
 from repro.sim.energy import EnergyBreakdown, compute_energy
 from repro.sim.metrics import RunMetrics
@@ -154,7 +152,6 @@ def run_single_program(benchmark: str, scheme: str,
         run_channel = obs_trace.RUN
         if run_channel is not None:
             run_channel.emit("run_start", n_instructions=n_instructions)
-    started = time.perf_counter()
     try:
         llc = llc or make_llc(scheme, config,
                               compression_enabled=compression_enabled)
@@ -175,10 +172,6 @@ def run_single_program(benchmark: str, scheme: str,
                                  bandwidth_gb=result.bandwidth_gb)
         return result
     finally:
-        registry = get_registry()
-        registry.counter("sim.single_runs").inc()
-        registry.timer("sim.run_single_program_s").observe_s(
-            time.perf_counter() - started)
         if traced:
             obs_trace.clear_context("run", "benchmark", "scheme")
 
@@ -273,7 +266,6 @@ def run_multi_program(mix: str, scheme: str,
         if run_channel is not None:
             run_channel.emit("run_start", mix=mix,
                              n_instructions=n_instructions_each)
-    started = time.perf_counter()
     try:
         n_threads = 16
         shared_config = config.with_bandwidth(
@@ -302,9 +294,5 @@ def run_multi_program(mix: str, scheme: str,
                                  bandwidth_gb=multi.bandwidth_gb)
         return multi
     finally:
-        registry = get_registry()
-        registry.counter("sim.multi_runs").inc()
-        registry.timer("sim.run_multi_program_s").observe_s(
-            time.perf_counter() - started)
         if traced:
             obs_trace.clear_context("run", "benchmark", "scheme")

@@ -40,10 +40,9 @@ def coarse_grain_throughput(metrics: RunMetrics, threads: int = 4) -> float:
         # model reports per-core committed throughput relative to one
         # thread's cycle count, so normalisation against a baseline with
         # the same property cancels it out.  A degenerate trace whose
-        # reservoir holds latencies but no net compute (compute == 0,
-        # e.g. warm-up carved off everything but stalls) still retired
-        # instructions over real cycles — fall back to the plain IPC
-        # definition instead of reporting 0.
+        # reservoir holds latencies but no net compute (compute == 0)
+        # still retired instructions over real cycles — fall back to the
+        # plain IPC definition instead of reporting 0.
         if compute > 0:
             return metrics.instructions / compute
         return metrics.instructions / metrics.cycles

@@ -1,5 +1,5 @@
 """Differential conformance: FCFS/banked memory channels vs the naive
-event-list references, plus the warm-up/measure ``reset()`` contract.
+event-list references.
 
 The references recompute every service horizon by scanning the full
 event history; the production channels keep one incremental float per
@@ -47,45 +47,3 @@ def test_banked_burst_duration_is_in_core_cycles():
     assert channel._burst_cycles == pytest.approx(expected)
     assert channel._burst_cycles == pytest.approx(10.0)
 
-
-class TestChannelReset:
-    """Satellite: phase reuse must not leak ``_free_at``/bank backlog."""
-
-    def test_simple_channel_reset_clears_backlog(self):
-        config = MemoryConfig()  # 1280-cycle transfers: instant backlog
-        warm = MemoryChannel(config)
-        for _ in range(10):
-            warm.read(0.0)
-        assert warm.read(0.0) > MemoryChannel(config).read(0.0)
-        warm.reset()
-        fresh = MemoryChannel(config)
-        assert warm.read(0.0) == fresh.read(0.0)
-        assert warm.stats.get("reads") == 1.0
-        assert warm.stats.get("queue_wait_cycles") == 0.0
-
-    def test_banked_channel_reset_clears_all_banks(self):
-        config = MemoryConfig()
-        warm = BankedMemoryChannel(config)
-        for i in range(4 * warm.n_banks):
-            warm.read(0.0, address=i * 64)
-        warm.reset()
-        fresh = BankedMemoryChannel(config)
-        for i in range(warm.n_banks):
-            assert (warm.read(0.0, address=i * 64)
-                    == fresh.read(0.0, address=i * 64))
-        assert warm._bus_free == fresh._bus_free
-        assert warm._bank_free == fresh._bank_free
-
-    def test_warmup_then_measure_isolation(self):
-        """A warm-up phase replayed before reset() must leave the
-        measurement phase identical to a cold-start run."""
-        config = MemoryConfig(bandwidth_bytes_per_sec=1600e6)
-        phased, cold = MemoryChannel(config), MemoryChannel(config)
-        for step in range(50):  # warm-up backlog
-            phased.read(step * 3.0, address=step * 64)
-        phased.reset()
-        measure = [(step * 17.0, step * 64) for step in range(40)]
-        phased_lat = [phased.read(now, address=a) for now, a in measure]
-        cold_lat = [cold.read(now, address=a) for now, a in measure]
-        assert phased_lat == cold_lat
-        assert phased.stats.as_dict() == cold.stats.as_dict()

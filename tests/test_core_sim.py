@@ -7,7 +7,10 @@ from repro.common.config import CacheGeometry, MemoryConfig, SystemConfig
 from repro.mem.controller import MemoryChannel
 from repro.morc.cache import MorcCache
 from repro.common.config import MorcConfig
-from repro.sim.core import CoreSimulator
+from repro.sim.core import CoreSimulator, restart_shared_stats
+from repro.sim.multicore import MultiCoreSystem
+from repro.sim.system import ALL_SCHEMES, make_llc
+from repro.workloads.spec import make_trace
 from repro.workloads.trace import TraceRecord
 
 
@@ -108,15 +111,84 @@ class TestDataPath:
         assert sim.l1.line_data(0) == bytes([5]) * 64
 
 
+def record_boundary(core, warmup):
+    """Wrap ``core.step`` to note (misses so far, clock) when the core
+    first reaches ``warmup`` instructions, as a warm-up run would."""
+    seen = []
+    step = core.step
+
+    def recording_step(record):
+        step(record)
+        if not seen and core.metrics.instructions >= warmup:
+            seen.append((len(core.metrics.miss_latencies),
+                         core.metrics.cycles))
+
+    core.step = recording_step
+    return seen
+
+
+def assert_measured_tail(warm, cold, boundary):
+    """A warm-up run measures exactly the cold run's post-boundary tail."""
+    misses, clock = boundary
+    assert list(warm.miss_latencies) == list(cold.miss_latencies)[misses:]
+    assert list(warm.miss_gaps) == list(cold.miss_gaps)[misses:]
+    assert warm.cycles == cold.cycles - clock
+    assert warm.l1_misses == cold.l1_misses - misses
+
+
+@pytest.mark.conformance
 class TestWarmup:
-    def test_reset_measurement_keeps_cache_state(self):
+    """Warm-up keeps one monotonic clock: the measured region of a run is
+    the tail of the same run without warm-up, with no phantom stall."""
+
+    TOTAL, WARMUP = 12_000, 7_000
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_single_run_measures_the_cold_tail(self, scheme):
+        def build():
+            config = SystemConfig()
+            return CoreSimulator(make_llc(scheme, config),
+                                 MemoryChannel(config.memory), config)
+
+        warm = build().run(make_trace("gcc", self.TOTAL),
+                           warmup_instructions=self.WARMUP)
+        cold_sim = build()
+        boundary = record_boundary(cold_sim, self.WARMUP)
+        cold = cold_sim.run(make_trace("gcc", self.TOTAL))
+        assert warm.l1_misses > 0
+        assert_measured_tail(warm, cold, boundary[0])
+
+    def test_multicore_measures_the_cold_tail(self):
+        def build():
+            config = SystemConfig()
+            llc = UncompressedCache(CacheGeometry(16 * 1024, ways=8))
+            memory = MemoryChannel(MemoryConfig(bandwidth_bytes_per_sec=400e6))
+            return MultiCoreSystem(llc, memory, config, n_threads=2)
+
+        def traces():
+            return [make_trace("gcc", self.TOTAL, seed_offset=i)
+                    for i in range(2)]
+
+        warm = build().run(traces(), warmup_instructions=self.WARMUP)
+        cold_system = build()
+        boundaries = [record_boundary(core, self.WARMUP)
+                      for core in cold_system.cores]
+        cold = cold_system.run(traces())
+        for warm_m, cold_m, seen in zip(warm.per_thread, cold.per_thread,
+                                        boundaries):
+            assert_measured_tail(warm_m, cold_m, seen[0])
+
+    def test_measurement_start_keeps_cache_state_and_clock(self):
         sim, llc, _ = make_sim()
         sim.step(record(0))
-        sim.reset_measurement()
+        clock = sim.metrics.cycles
+        sim.start_measurement()
         assert sim.metrics.instructions == 0
+        assert sim.metrics.cycles == clock
         assert llc.contains(0)
         sim.step(record(0))  # L1 hit now
         assert sim.metrics.l1_misses == 0
+        assert sim.measured().cycles == 1
 
     def test_run_with_warmup(self):
         sim, _, _ = make_sim()
@@ -129,15 +201,14 @@ class TestWarmup:
         metrics = sim.run([record(i % 4) for i in range(100)])
         assert metrics.instructions == 100
 
-    def test_morc_histogram_cleared_on_reset(self):
+    def test_morc_histogram_cleared_at_boundary(self):
         llc = MorcCache(8 * 1024, config=MorcConfig(n_active_logs=2))
-        sim, _, _ = make_sim(llc=llc)
+        sim, _, memory = make_sim(llc=llc)
         sim.step(record(0))
-        sim.step(record(100))
-        sim.step(record(0))  # L1 has it... use a conflicting L1 line
         llc.latency_bytes_histogram[64] += 1
-        sim.reset_measurement()
+        restart_shared_stats(llc, memory)
         assert not llc.latency_bytes_histogram
+        assert memory.stats.get("reads") == 0
 
 
 class TestSampling:

@@ -129,23 +129,6 @@ def test_pair_preserving_sampling():
         assert latency == gap + 0.5
 
 
-def test_since_exact_cut():
-    series = MissSeries([1.0, 2.0, 3.0, 4.0])
-    tail = series.since(2)
-    assert list(tail) == [3.0, 4.0]
-    assert tail.total == pytest.approx(7.0)
-
-
-def test_since_after_overflow_scales_aggregates():
-    series = MissSeries(capacity=16)
-    for value in range(1000):
-        series.append(1.0)
-    tail = series.since(400)
-    assert len(tail) == 600
-    assert tail.total == pytest.approx(600.0)
-    assert series.since(1000).count == 0
-
-
 def test_extend_merges_overflowed_series_exactly():
     donor = MissSeries(capacity=8)
     for value in range(100):
