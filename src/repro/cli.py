@@ -14,9 +14,11 @@ Commands mirror the paper's evaluation:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
+from repro import settings
 from repro.experiments import (
     ablations,
     extensions,
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "missing/failed cells (implies --checkpoint PATH)")
         experiment_parser.add_argument(
             "--on-error", dest="on_error", default=None,
-            choices=("raise", "skip", "retry"),
+            choices=settings.ON_ERROR_MODES,
             help="what a failed cell does to the grid "
                  "(default REPRO_ON_ERROR or raise)")
 
@@ -229,9 +231,8 @@ def _command_list() -> int:
     print("\nbenchmarks:")
     for name in ALL_SINGLE_PROGRAMS:
         print(f"  {name}")
-    from repro.obs.config import ALL_CATEGORIES
     print("\nobservability categories (REPRO_OBS_CATEGORIES):")
-    print("  " + " ".join(ALL_CATEGORIES))
+    print("  " + " ".join(settings.ALL_CATEGORIES))
     from repro.conformance.driver import ALL_COMPONENTS
     from repro.conformance.streams import STREAM_MIXES
     print("\nconformance components (repro check -c):")
@@ -239,39 +240,8 @@ def _command_list() -> int:
     print("\nconformance stream mixes:")
     print("  " + " ".join(STREAM_MIXES))
     print("\nenvironment knobs:")
-    knobs = (
-        ("REPRO_OBS", "enable event tracing (default 0)"),
-        ("REPRO_OBS_TRACE", "trace output path "
-                            "(default repro_obs.jsonl)"),
-        ("REPRO_OBS_CATEGORIES", "comma-separated category filter "
-                                 "(default all)"),
-        ("REPRO_OBS_SAMPLE", "memory queue sampling stride "
-                             "(default 64)"),
-        ("REPRO_JOBS", "experiment worker processes "
-                       "(default cpu count)"),
-        ("REPRO_SCALE", "scale factor for default instruction "
-                        "counts"),
-        ("REPRO_ON_ERROR", "failed-cell policy: raise, skip or "
-                           "retry (default raise)"),
-        ("REPRO_RETRIES", "retry attempts per cell under "
-                          "on_error=retry (default 2)"),
-        ("REPRO_RETRY_BACKOFF", "base retry backoff seconds, doubled "
-                                "per attempt + jitter (default 0.05)"),
-        ("REPRO_CELL_TIMEOUT", "per-cell wall-clock timeout seconds, "
-                               "pool mode (default 0 = off)"),
-        ("REPRO_FAULT_INJECT", "deterministic fault injection, e.g. "
-                               "crash@10%,flaky@1,hang@0:1.5,kill@3"),
-        ("REPRO_SOFT_ERRORS", "soft-error model: flip rate per stored "
-                              "bit or @index[:bit] (default 0 = off)"),
-        ("REPRO_SOFT_ERROR_POLICY", "detected-error recovery: refetch, "
-                                    "raw or failstop (default refetch)"),
-        ("REPRO_SOFT_ERROR_SEED", "seed for deterministic flip offsets "
-                                  "(default 0)"),
-        ("REPRO_VERIFY", "round-trip + invariant self-verification "
-                         "(default 0)"),
-    )
-    for knob, description in knobs:
-        print(f"  {knob:<26}{description}")
+    for knob in dataclasses.fields(settings.Settings):
+        print(f"  {knob.metadata['env']:<26}{knob.metadata['help']}")
     return 0
 
 

@@ -35,7 +35,8 @@ Guarantees:
   reaps the workers and flushes the journal before re-raising so a
   killed sweep resumes cleanly.
 
-``REPRO_JOBS`` overrides the worker count; invalid values raise
+``REPRO_JOBS`` overrides the worker count.  Every knob is parsed and
+validated by :mod:`repro.settings`, so an invalid value raises
 :class:`~repro.common.errors.ConfigError` rather than silently running
 serial.  ``REPRO_FAULT_INJECT`` (``crash@2,flaky@1,hang@0:1.5,kill@3,
 crash@10%``) deterministically injects faults per cell index for the
@@ -58,22 +59,18 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
+from repro import settings
 from repro.common.config import SystemConfig
 from repro.common.errors import CellError, CellFailedError, ConfigError
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
 from repro.obs import trace as obs_trace
 from repro.obs.profiling import WorkerProfile, peak_rss_kb, worker_profiles
 from repro.perf.timing import CellTiming
+from repro.settings import FaultDirective
 
 #: memory-channel selector carried by :class:`RunSpec` (a key, not an
 #: instance, so specs stay small and picklable)
 MEMORY_CHANNELS = ("simple", "link", "banked")
-
-#: what the engine does with a cell whose worker raised
-ON_ERROR_MODES = ("raise", "skip", "retry")
-
-#: fault-injection modes understood by ``REPRO_FAULT_INJECT``
-FAULT_MODES = ("crash", "flaky", "hang", "kill")
 
 #: pid of the process that imported this module (the grid parent under
 #: ``fork``); lets injected ``kill`` faults refuse to kill the parent
@@ -134,113 +131,13 @@ class EngineOptions:
     resume: bool = False
 
 
-@dataclass(frozen=True)
-class EnginePolicy:
-    """Resolved engine behaviour (options + environment), one per grid."""
-
-    on_error: str = "raise"
-    retries: int = 2
-    backoff_s: float = 0.05
-    timeout_s: float = 0.0
-    faults: Tuple["FaultDirective", ...] = ()
-
-
-@dataclass(frozen=True)
-class FaultDirective:
-    """One parsed ``REPRO_FAULT_INJECT`` directive.
-
-    ``selector`` is ``"index"`` (fire on exactly ``value``) or
-    ``"stride"`` (fire on every ``value``-th cell — ``crash@10%`` parses
-    to stride 10, i.e. 10% of cells, deterministically by index).
-    """
-
-    mode: str
-    selector: str
-    value: int
-    arg: float = 0.0
-
-    def matches(self, index: int) -> bool:
-        if self.selector == "index":
-            return index == self.value
-        return index % self.value == 0
-
-
 class FaultInjected(Exception):
     """Raised by a deterministically injected fault (tests/benches)."""
 
 
 def worker_count() -> int:
     """Number of worker processes (``REPRO_JOBS`` or the CPU count)."""
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is None:
-        return max(1, os.cpu_count() or 1)
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigError(f"REPRO_JOBS must be an integer, got {raw!r}")
-    if jobs < 1:
-        raise ConfigError(f"REPRO_JOBS must be >= 1, got {jobs}")
-    return jobs
-
-
-def _env_number(name: str, default: float, minimum: float,
-                cast: Callable[[str], float]) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = cast(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be numeric, got {raw!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum:g}, got {raw!r}")
-    return value
-
-
-def parse_fault_spec(raw: str) -> Tuple[FaultDirective, ...]:
-    """Parse ``REPRO_FAULT_INJECT``: comma-separated ``mode@index[:arg]``
-    or ``mode@N%`` directives, mode in :data:`FAULT_MODES`."""
-    directives: List[FaultDirective] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        mode, at, rest = token.partition("@")
-        selector, _, argtext = rest.partition(":")
-        try:
-            if mode not in FAULT_MODES or not at or not selector:
-                raise ValueError
-            arg = float(argtext) if argtext else 0.0
-            if selector.endswith("%"):
-                percent = int(selector[:-1])
-                if not 0 < percent <= 100:
-                    raise ValueError
-                directives.append(FaultDirective(
-                    mode, "stride", max(1, round(100 / percent)), arg))
-            else:
-                directives.append(FaultDirective(
-                    mode, "index", int(selector), arg))
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_FAULT_INJECT directive {token!r} is not "
-                f"mode@index[:arg] or mode@N% with mode in "
-                f"{list(FAULT_MODES)}")
-    return tuple(directives)
-
-
-def _resolve_policy(options: EngineOptions) -> EnginePolicy:
-    on_error = (options.on_error
-                or os.environ.get("REPRO_ON_ERROR", "raise").strip().lower()
-                or "raise")
-    if on_error not in ON_ERROR_MODES:
-        raise ConfigError(f"on_error must be one of {list(ON_ERROR_MODES)},"
-                          f" got {on_error!r}")
-    return EnginePolicy(
-        on_error=on_error,
-        retries=int(_env_number("REPRO_RETRIES", 2, 0, int)),
-        backoff_s=_env_number("REPRO_RETRY_BACKOFF", 0.05, 0.0, float),
-        timeout_s=_env_number("REPRO_CELL_TIMEOUT", 0.0, 0.0, float),
-        faults=parse_fault_spec(os.environ.get("REPRO_FAULT_INJECT", "")))
+    return settings.current().jobs or max(1, os.cpu_count() or 1)
 
 
 def retry_delay(label: str, attempt: int, backoff_s: float) -> float:
@@ -438,12 +335,16 @@ class _Grid:
     """State of one engine invocation: slots, attempts, journal."""
 
     def __init__(self, worker: Callable, items: Sequence[Any],
-                 labels: Sequence[str], policy: EnginePolicy,
-                 options: EngineOptions) -> None:
+                 labels: Sequence[str], options: EngineOptions) -> None:
         self.runner = functools.partial(_guarded, worker)
         self.items = list(items)
         self.labels = list(labels)
-        self.policy = policy
+        self.settings = settings.current()
+        self.on_error = options.on_error or self.settings.on_error
+        if self.on_error not in settings.ON_ERROR_MODES:
+            raise ConfigError(f"on_error must be one of "
+                              f"{list(settings.ON_ERROR_MODES)}, "
+                              f"got {self.on_error!r}")
         self.options = options
         self.results: Dict[int, Any] = {}
         self.timings: Dict[int, CellTiming] = {}
@@ -451,7 +352,9 @@ class _Grid:
         self.journal = (GridCheckpoint(options.checkpoint)
                         if options.checkpoint else None)
         identity = _worker_identity(worker) if self.journal else ""
-        self.keys = ([spec_key(index, self.labels[index], item, identity)
+        knobs = self.settings.results_key()
+        self.keys = ([spec_key(index, self.labels[index], item, identity,
+                               knobs)
                       for index, item in enumerate(self.items)]
                      if self.journal else None)
 
@@ -508,7 +411,7 @@ class _Grid:
         return [self.timings[index] for index in sorted(self.timings)]
 
     def fault_for(self, index: int) -> Optional[FaultDirective]:
-        for directive in self.policy.faults:
+        for directive in self.settings.fault_inject:
             if directive.matches(index):
                 return directive
         return None
@@ -526,7 +429,7 @@ class _Grid:
         self._journal_cell(index, "error", cell, timing)
         self._emit("cell_error", label=cell.label, error=cell.exception,
                    attempts=cell.attempts, kind=cell.kind)
-        if self.policy.on_error == "raise":
+        if self.on_error == "raise":
             raise CellFailedError(cell)
 
     def classify(self, index: int, attempt: int,
@@ -546,9 +449,9 @@ class _Grid:
             self._journal_cell(index, "ok", result, timing)
             return None
         _, exception, trace_text, seconds, pid, queue_wait, rss = outcome
-        if (self.policy.on_error == "retry"
-                and attempt <= self.policy.retries):
-            delay = retry_delay(label, attempt, self.policy.backoff_s)
+        if (self.on_error == "retry"
+                and attempt <= self.settings.retries):
+            delay = retry_delay(label, attempt, self.settings.retry_backoff)
             self._emit("cell_retry", label=label, attempt=attempt,
                        delay_s=round(delay, 6), error=exception)
             return delay
@@ -590,8 +493,9 @@ class _Grid:
                 # spent queued behind other cells
                 while todo and len(pending) < jobs:
                     index, attempt = todo.popleft()
-                    deadline = (time.perf_counter() + self.policy.timeout_s
-                                if self.policy.timeout_s > 0 else None)
+                    timeout = self.settings.cell_timeout
+                    deadline = (time.perf_counter() + timeout
+                                if timeout > 0 else None)
                     try:
                         future = pool.submit(
                             self.runner, self.payload(index, attempt))
@@ -674,7 +578,7 @@ class _Grid:
         requeued (cells are pure — recomputing is bit-identical).
         Timeouts are terminal: retrying a hang would only hang again.
         """
-        if self.policy.timeout_s <= 0:
+        if self.settings.cell_timeout <= 0:
             return pool
         now = time.perf_counter()
         expired = [future for future, (_, _, deadline) in pending.items()
@@ -690,9 +594,9 @@ class _Grid:
                 index,
                 CellError(label,
                           f"TimeoutError('cell exceeded "
-                          f"{self.policy.timeout_s:g}s wall clock')",
+                          f"{self.settings.cell_timeout:g}s wall clock')",
                           "", attempts=attempt, kind="timeout"),
-                CellTiming(label, self.policy.timeout_s, 0, 0.0, 0))
+                CellTiming(label, self.settings.cell_timeout, 0, 0.0, 0))
         for index, attempt, _ in pending.values():
             todo.append((index, attempt))
         pending.clear()
@@ -711,7 +615,7 @@ def _run_timed_cells(worker: Callable[[Any], Tuple[Any, float, int]],
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     options = engine or EngineOptions()
-    grid = _Grid(worker, items, labels, _resolve_policy(options), options)
+    grid = _Grid(worker, items, labels, options)
     _last_timings.clear()
     _last_errors.clear()
     _last_wall_s = 0.0

@@ -13,11 +13,10 @@ workload including ``_N`` input variants.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
+from repro import settings
 from repro.common.config import SystemConfig
-from repro.common.errors import ConfigError
 from repro.sim.system import SingleRunResult, run_single_program
 from repro.workloads.spec import ALL_SINGLE_PROGRAMS
 
@@ -38,21 +37,13 @@ DEFAULT_MULTI_INSTRUCTIONS = 40_000
 
 
 def scale_instructions(base: int) -> int:
-    """Apply the REPRO_SCALE environment multiplier to a budget.
+    """Apply the ``REPRO_SCALE`` multiplier to a budget.
 
-    Invalid values raise :class:`~repro.common.errors.ConfigError`
-    rather than silently falling back: ``REPRO_SCALE=0`` used to clamp
-    every budget to 1,000 instructions, which looks like a fast run but
-    measures nothing.
+    :mod:`repro.settings` rejects a non-positive scale rather than
+    clamping: ``REPRO_SCALE=0`` used to shrink every budget to 1,000
+    instructions, which looks like a fast run but measures nothing.
     """
-    raw = os.environ.get("REPRO_SCALE", "1")
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ConfigError(f"REPRO_SCALE must be numeric, got {raw!r}")
-    if scale <= 0:
-        raise ConfigError(f"REPRO_SCALE must be positive, got {raw!r}")
-    return max(1_000, int(base * scale))
+    return max(1_000, int(base * settings.current().scale))
 
 
 def instructions_for(benchmark: str, base: int) -> int:

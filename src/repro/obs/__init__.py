@@ -14,62 +14,18 @@ and stays bit-identical when unobserved:
 streams regardless of ``REPRO_OBS`` because it is a memory-safety fix,
 not an instrument.
 
-Environment knobs are documented in :mod:`repro.obs.config`; tests (and
-long-lived processes) can flip everything at runtime::
+The knobs live in :mod:`repro.settings`; tests (and long-lived
+processes) can flip them at runtime::
 
-    import repro.obs as obs
-    obs.configure(enabled=True, trace_path="/tmp/t.jsonl",
-                  categories={"llc", "mem"})
+    from repro import settings
+    settings.configure(obs=True, obs_trace="/tmp/t.jsonl",
+                       obs_categories={"llc", "mem"})
     ...
-    obs.reset()   # back to the environment's settings
+    settings.reset()   # back to the environment's settings
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-from repro.obs import config as _config
-from repro.obs import trace as _trace
-from repro.obs.config import ALL_CATEGORIES, ObsConfig
 from repro.obs.reservoir import MissSeries, Reservoir
 
-__all__ = [
-    "ALL_CATEGORIES", "MissSeries", "ObsConfig", "Reservoir", "configure",
-    "obs_enabled", "reset",
-]
-
-
-def obs_enabled() -> bool:
-    """True when the observability layer is live."""
-    return _config.current().enabled
-
-
-def configure(enabled: Optional[bool] = None,
-              trace_path: Optional[str] = None,
-              categories: Optional[Iterable[str]] = None,
-              mem_sample_interval: Optional[int] = None) -> ObsConfig:
-    """Override observability settings at runtime (None = keep current).
-
-    Rebinds the tracer's category channels.
-    """
-    base = _config.current()
-    updated = ObsConfig(
-        enabled=base.enabled if enabled is None else bool(enabled),
-        trace_path=(base.trace_path if trace_path is None
-                    else str(trace_path)),
-        categories=(base.categories if categories is None
-                    else frozenset(categories)),
-        mem_sample_interval=(base.mem_sample_interval
-                             if mem_sample_interval is None
-                             else int(mem_sample_interval)))
-    _config.set_current(updated)
-    _trace.refresh()
-    return updated
-
-
-def reset() -> ObsConfig:
-    """Reload settings from the environment (undo :func:`configure`)."""
-    _config.set_current(_config.load_from_env())
-    _trace.refresh()
-    _trace.clear_context()
-    return _config.current()
+__all__ = ["MissSeries", "Reservoir"]

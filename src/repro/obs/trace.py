@@ -25,7 +25,7 @@ import json
 import os
 from typing import Dict, Optional
 
-from repro.obs import config as _config
+from repro import settings
 
 _context: Dict[str, object] = {}
 _fd: Optional[int] = None
@@ -92,15 +92,15 @@ def next_run_id() -> str:
 
 
 def refresh() -> None:
-    """Rebind the category channels from the current configuration."""
+    """Rebind the category channels from the current settings."""
     global LLC, COMPRESSION, MEM, RUN, ENGINE, RESILIENCE, _fd, _fd_path
-    cfg = _config.current()
+    cfg = settings.current()
     if _fd is not None:
         os.close(_fd)
         _fd = None
         _fd_path = None
-    for category in _config.ALL_CATEGORIES:
-        live = (Channel(category, cfg.trace_path)
+    for category in settings.ALL_CATEGORIES:
+        live = (Channel(category, cfg.obs_trace)
                 if cfg.category_enabled(category) else None)
         globals()[category.upper()] = live
 
@@ -121,7 +121,7 @@ def clear_context(*keys: str) -> None:
 
 def mem_sample_interval() -> int:
     """Sampling stride for memory-channel occupancy events."""
-    return _config.current().mem_sample_interval
+    return settings.current().obs_sample
 
 
 def compression_event(algo: str, line: bytes, bits: int) -> None:

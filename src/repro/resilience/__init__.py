@@ -12,63 +12,20 @@ Three pieces, all inert by default so a clean run stays bit-identical:
 
 Events (``soft_error``/``recovery``/``verify_fail``) flow through the
 ``resilience`` category of :mod:`repro.obs.trace` and surface in
-``python -m repro obs``.  Tests and long-lived processes can flip the
-knobs at runtime::
+``python -m repro obs``.  The knobs live in :mod:`repro.settings`;
+tests and long-lived processes can flip them at runtime::
 
-    import repro.resilience as resilience
-    resilience.configure(soft_errors="@0", policy="failstop")
+    from repro import settings
+    settings.configure(soft_errors="@0", soft_error_policy="failstop")
     ...
-    resilience.reset()   # back to the environment's settings
+    settings.reset()   # back to the environment's settings
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.resilience import config as _config
-from repro.resilience.config import RECOVERY_POLICIES, ResilienceConfig
 from repro.resilience.faults import SoftErrorInjector, make_injector
 from repro.resilience.verify import audit, verification_enabled
 
 __all__ = [
-    "RECOVERY_POLICIES", "ResilienceConfig", "SoftErrorInjector",
-    "audit", "configure", "make_injector", "reset",
-    "verification_enabled",
+    "SoftErrorInjector", "audit", "make_injector", "verification_enabled",
 ]
-
-
-def configure(soft_errors: Optional[str] = None,
-              policy: Optional[str] = None,
-              seed: Optional[int] = None,
-              verify: Optional[bool] = None) -> ResilienceConfig:
-    """Override resilience settings at runtime (None = keep current).
-
-    ``soft_errors`` takes the same spec string as ``REPRO_SOFT_ERRORS``.
-    Caches capture their injector at construction, so reconfigure
-    *before* building the cache under test.
-    """
-    base = _config.current()
-    if soft_errors is None:
-        rate, index, bit = base.rate, base.index, base.bit
-    else:
-        rate, index, bit = _config.parse_soft_errors(str(soft_errors))
-    if policy is not None:
-        policy = policy.strip().lower()
-        if policy not in RECOVERY_POLICIES:
-            from repro.common.errors import ConfigError
-            raise ConfigError(
-                f"policy must be one of {list(RECOVERY_POLICIES)}, "
-                f"got {policy!r}")
-    updated = ResilienceConfig(
-        rate=rate, index=index, bit=bit,
-        policy=base.policy if policy is None else policy,
-        seed=base.seed if seed is None else int(seed),
-        verify=base.verify if verify is None else bool(verify))
-    _config.set_current(updated)
-    return updated
-
-
-def reset() -> ResilienceConfig:
-    """Reload settings from the environment (undo :func:`configure`)."""
-    _config.set_current(_config.load_from_env())
-    return _config.current()

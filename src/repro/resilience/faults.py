@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from repro.resilience import config as _config
+from repro import settings
 
 
 class SoftErrorInjector:
@@ -84,13 +84,14 @@ class SoftErrorInjector:
 
 
 def make_injector() -> Optional[SoftErrorInjector]:
-    """A fresh injector per the current config, or ``None`` when inert.
+    """A fresh injector per the current settings, or ``None`` when inert.
 
     Caches hold the result and guard every hook with
     ``if self._injector is not None`` so a clean run costs one attribute
     load per insert.
     """
-    cfg = _config.current()
-    if not cfg.inject:
+    cfg = settings.current()
+    rate, index, bit = cfg.soft_errors
+    if rate <= 0.0 and index is None:
         return None
-    return SoftErrorInjector(cfg.rate, cfg.index, cfg.bit, cfg.seed)
+    return SoftErrorInjector(rate, index, bit, cfg.soft_error_seed)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import settings
 from repro.cli import EXPERIMENTS, build_parser, main
 
 
@@ -56,11 +57,13 @@ class TestMain:
         assert main(["figure8", "-b", "S6", "-n", "1500"]) == 0
         assert "S6" in capsys.readouterr().out
 
-    def test_skip_mode_reports_failed_cells(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash@1")
-        assert main(["figure6", "-b", "gcc", "-n", "1500",
-                     "--on-error", "skip"]) == 1
+    def test_skip_mode_reports_failed_cells(self, capsys):
+        settings.configure(jobs=1, fault_inject="crash@1")
+        try:
+            assert main(["figure6", "-b", "gcc", "-n", "1500",
+                         "--on-error", "skip"]) == 1
+        finally:
+            settings.reset()
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1 cell(s) failed" in captured.err

@@ -18,14 +18,13 @@ import types
 
 import pytest
 
-import repro.obs as obs
+from repro import settings
 from repro.common.errors import CellError, CellFailedError, ConfigError
 from repro.experiments import figure6, parallel
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
 from repro.experiments.parallel import (
     EngineOptions,
     parallel_map,
-    parse_fault_spec,
     retry_delay,
 )
 from repro.obs.reader import read_all, read_events
@@ -53,27 +52,27 @@ def _logged_double(item):
 
 
 @pytest.fixture
-def quiet_env(monkeypatch):
-    """Fault knobs cleared; fast backoff so retry tests stay quick."""
-    for name in ("REPRO_FAULT_INJECT", "REPRO_CELL_TIMEOUT",
-                 "REPRO_RETRIES", "REPRO_ON_ERROR"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
-    return monkeypatch
+def quiet_env():
+    """Fault knobs at their defaults; fast backoff so retry tests stay
+    quick; the environment's settings come back on teardown."""
+    settings.configure(fault_inject="", cell_timeout=0, retries=2,
+                       on_error="raise", retry_backoff=0.01)
+    yield
+    settings.reset()
 
 
 @pytest.fixture
 def trace_path(tmp_path):
     path = tmp_path / "trace.jsonl"
-    obs.configure(enabled=True, trace_path=str(path))
+    settings.configure(obs=True, obs_trace=str(path))
     yield str(path)
-    obs.reset()
+    settings.reset()
 
 
 # -- error capture ------------------------------------------------------
 
 def test_injected_crash_becomes_cell_error_grid_intact(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@2")
+    settings.configure(fault_inject="crash@2")
     out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
                        engine=EngineOptions(on_error="skip"))
     assert out[0] == 2 and out[1] == 4 and out[3] == 8
@@ -87,7 +86,7 @@ def test_injected_crash_becomes_cell_error_grid_intact(quiet_env):
 
 
 def test_default_raise_mode_wraps_worker_exception(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@1")
+    settings.configure(fault_inject="crash@1")
     with pytest.raises(CellFailedError) as excinfo:
         parallel_map(_double, [5, 6, 7], jobs=2)
     assert excinfo.value.cell.label == "cell[1]"
@@ -100,7 +99,7 @@ def test_failed_grid_does_not_leave_stale_engine_state(quiet_env):
     parallel_map(_double, [10, 20, 30], jobs=2, label="first")
     assert [t.label for t in parallel.last_timings()] == [
         "first[0]", "first[1]", "first[2]"]
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@0")
+    settings.configure(fault_inject="crash@0")
     with pytest.raises(CellFailedError):
         parallel_map(_double, [1, 2], jobs=2, label="second")
     labels = [t.label for t in parallel.last_timings()]
@@ -112,7 +111,7 @@ def test_failed_grid_does_not_leave_stale_engine_state(quiet_env):
 
 def test_flaky_once_succeeds_on_retry_with_backoff_recorded(
         quiet_env, trace_path):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "flaky@1")
+    settings.configure(fault_inject="flaky@1")
     out = parallel_map(_double, [1, 2, 3], jobs=2,
                        engine=EngineOptions(on_error="retry"))
     assert out == [2, 4, 6]
@@ -126,8 +125,8 @@ def test_flaky_once_succeeds_on_retry_with_backoff_recorded(
 
 
 def test_retries_exhausted_reports_attempt_count(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@0")
-    quiet_env.setenv("REPRO_RETRIES", "2")
+    settings.configure(fault_inject="crash@0")
+    settings.configure(retries=2)
     out = parallel_map(_double, [1, 2], jobs=2,
                        engine=EngineOptions(on_error="retry"))
     cell = out[0]
@@ -148,8 +147,8 @@ def test_retry_delay_is_deterministic_exponential():
 # -- timeout ------------------------------------------------------------
 
 def test_hang_trips_cell_timeout(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "hang@0:30")
-    quiet_env.setenv("REPRO_CELL_TIMEOUT", "0.5")
+    settings.configure(fault_inject="hang@0:30")
+    settings.configure(cell_timeout=0.5)
     started = time.perf_counter()
     out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
                        engine=EngineOptions(on_error="skip"))
@@ -165,7 +164,7 @@ def test_hang_trips_cell_timeout(quiet_env):
 # -- broken pool escalation ---------------------------------------------
 
 def test_killed_worker_escalates_to_serial_rerun(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "kill@1")
+    settings.configure(fault_inject="kill@1")
     out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
                        engine=EngineOptions(on_error="skip"))
     # the poisoned cell fails (raised, not killed, in the serial
@@ -181,12 +180,12 @@ def test_resume_reruns_only_missing_cells(quiet_env, tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
     log = str(tmp_path / "invocations.log")
     items = [(log, value) for value in range(4)]
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@2")
+    settings.configure(fault_inject="crash@2")
     out = parallel_map(_logged_double, items, jobs=2,
                        engine=EngineOptions(on_error="skip",
                                             checkpoint=ckpt))
     assert isinstance(out[2], CellError)
-    quiet_env.delenv("REPRO_FAULT_INJECT")
+    settings.configure(fault_inject="")
     resumed = parallel_map(_logged_double, items, jobs=2,
                            engine=EngineOptions(on_error="skip",
                                                 checkpoint=ckpt,
@@ -202,9 +201,10 @@ def test_resume_reruns_only_missing_cells(quiet_env, tmp_path):
     assert len(parallel.last_timings()) == 4
 
 
-def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path):
+def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path,
+                                                  monkeypatch):
     ckpt = str(tmp_path / "grid.ckpt")
-    quiet_env.setenv("TEST_INTERRUPT", "1")
+    monkeypatch.setenv("TEST_INTERRUPT", "1")
     with pytest.raises(KeyboardInterrupt):
         parallel_map(_interruptible_double, [0, 1, 2, 3], jobs=2,
                      engine=EngineOptions(on_error="skip",
@@ -212,7 +212,7 @@ def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path):
     journaled = GridCheckpoint(ckpt).load()
     assert any(record["status"] == "ok"
                for record in journaled.values())
-    quiet_env.delenv("TEST_INTERRUPT")
+    monkeypatch.delenv("TEST_INTERRUPT")
     resumed = parallel_map(_interruptible_double, [0, 1, 2, 3], jobs=2,
                            engine=EngineOptions(on_error="skip",
                                                 checkpoint=ckpt,
@@ -260,17 +260,17 @@ def test_figure_grid_resume_bit_identical_to_fault_free_run(
     # CellErrors reported, resume, and match a fault-free serial run.
     kwargs = dict(benchmarks=["gcc", "hmmer"], n_instructions=5_000,
                   schemes=("Uncompressed", "MORC"))
-    quiet_env.setenv("REPRO_JOBS", "1")
+    settings.configure(jobs=1)
     clean = figure6.run(**kwargs)
     ckpt = str(tmp_path / "figure6.ckpt")
-    quiet_env.setenv("REPRO_JOBS", "2")
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@10%")
+    settings.configure(jobs=2)
+    settings.configure(fault_inject="crash@10%")
     partial = figure6.run(engine=EngineOptions(on_error="skip",
                                                checkpoint=ckpt), **kwargs)
     failed = [cell for runs in partial.runs.values() for cell in runs
               if isinstance(cell, CellError)]
     assert failed, "crash@10% must fail at least cell 0"
-    quiet_env.delenv("REPRO_FAULT_INJECT")
+    settings.configure(fault_inject="")
     resumed = figure6.run(engine=EngineOptions(on_error="skip",
                                                checkpoint=ckpt,
                                                resume=True), **kwargs)
@@ -284,32 +284,42 @@ def test_figure_grid_resume_bit_identical_to_fault_free_run(
             assert a.bandwidth_gb == b.bandwidth_gb
 
 
-# -- configuration parsing ----------------------------------------------
+def _fingerprint(run):
+    return (run.compression_ratio, run.ipc, run.bandwidth_gb,
+            sorted(run.llc_stats.items()))
 
-def test_fault_spec_parsing():
-    directives = parse_fault_spec("crash@2,flaky@1,hang@0:1.5,crash@10%")
-    assert [d.mode for d in directives] == ["crash", "flaky", "hang",
-                                            "crash"]
-    assert directives[2].arg == 1.5
-    stride = directives[3]
-    assert stride.selector == "stride" and stride.value == 10
-    assert stride.matches(0) and stride.matches(10)
-    assert not stride.matches(5)
-    assert parse_fault_spec("") == ()
-    for bad in ("explode@1", "crash", "crash@x", "crash@0%"):
-        with pytest.raises(ConfigError):
-            parse_fault_spec(bad)
 
+def test_resume_ignores_cells_journaled_under_other_soft_errors(
+        quiet_env, tmp_path):
+    # A journal written with soft errors on used to be replayed into a
+    # clean resume: spec_key did not hash the results-affecting knobs.
+    kwargs = dict(benchmarks=["gcc"], n_instructions=5_000,
+                  schemes=("MORC",))
+    settings.configure(jobs=1)
+    clean = figure6.run(**kwargs).runs["MORC"][0]
+    ckpt = str(tmp_path / "figure6.ckpt")
+    settings.configure(soft_errors="1e-3")
+    faulty = figure6.run(engine=EngineOptions(checkpoint=ckpt),
+                         **kwargs).runs["MORC"][0]
+    assert faulty.llc_stats.get("soft_errors_injected", 0) > 0
+    resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
+                                               resume=True), **kwargs)
+    assert parallel.last_resume()["loaded"] == 1
+    assert _fingerprint(resumed.runs["MORC"][0]) == _fingerprint(faulty)
+    settings.reset()
+    resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
+                                               resume=True), **kwargs)
+    assert parallel.last_resume()["executed"] == 1
+    assert _fingerprint(resumed.runs["MORC"][0]) == _fingerprint(clean)
+
+
+# -- configuration ------------------------------------------------------
 
 def test_engine_env_knob_validation(quiet_env):
-    quiet_env.setenv("REPRO_RETRIES", "-1")
     with pytest.raises(ConfigError):
-        parallel_map(_double, [1, 2], jobs=1)
-    quiet_env.setenv("REPRO_RETRIES", "2")
-    quiet_env.setenv("REPRO_CELL_TIMEOUT", "soon")
+        settings.configure(retries=-1)
     with pytest.raises(ConfigError):
-        parallel_map(_double, [1, 2], jobs=1)
-    quiet_env.delenv("REPRO_CELL_TIMEOUT")
+        settings.configure(cell_timeout="soon")
     with pytest.raises(ConfigError):
         parallel_map(_double, [1, 2], jobs=1,
                      engine=EngineOptions(on_error="ignore"))
@@ -336,10 +346,10 @@ def test_reader_streams_lazily(tmp_path):
 def test_fault_events_surface_in_obs_summary(quiet_env, trace_path,
                                              tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@0")
+    settings.configure(fault_inject="crash@0")
     parallel_map(_double, [1, 2, 3], jobs=2,
                  engine=EngineOptions(on_error="skip", checkpoint=ckpt))
-    quiet_env.delenv("REPRO_FAULT_INJECT")
+    settings.configure(fault_inject="")
     parallel_map(_double, [1, 2, 3], jobs=2,
                  engine=EngineOptions(on_error="skip", checkpoint=ckpt,
                                       resume=True))

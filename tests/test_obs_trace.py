@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-import repro.obs as obs
+from repro import settings
 from repro.cli import main as cli_main
 from repro.experiments.parallel import (
     RunSpec,
@@ -32,9 +32,9 @@ from repro.sim.system import run_single_program
 def trace_path(tmp_path):
     """Tracing on, everything restored to env defaults afterwards."""
     path = tmp_path / "trace.jsonl"
-    obs.configure(enabled=True, trace_path=str(path))
+    settings.configure(obs=True, obs_trace=str(path))
     yield str(path)
-    obs.reset()
+    settings.reset()
 
 
 def _result_fingerprint(result):
@@ -91,8 +91,8 @@ def test_run_context_cleared_after_run(trace_path):
 
 def test_category_filter(tmp_path):
     path = tmp_path / "filtered.jsonl"
-    obs.configure(enabled=True, trace_path=str(path),
-                  categories={"llc"})
+    settings.configure(obs=True, obs_trace=str(path),
+                       obs_categories={"llc"})
     try:
         assert obs_trace.LLC is not None
         assert obs_trace.COMPRESSION is None
@@ -101,25 +101,25 @@ def test_category_filter(tmp_path):
         categories = {event["cat"] for event in read_events(str(path))}
         assert categories == {"llc"}
     finally:
-        obs.reset()
+        settings.reset()
 
 
 # -- disabled: no events, identical results -----------------------------
 
 def test_disabled_emits_nothing_and_results_identical(tmp_path):
     path = tmp_path / "off.jsonl"
-    obs.configure(enabled=False, trace_path=str(path))
+    settings.configure(obs=False, obs_trace=str(path))
     try:
         baseline = run_single_program("gcc", "MORC", n_instructions=4000)
         assert obs_trace.tracing_active() is False
         assert not path.exists()
     finally:
-        obs.reset()
-    obs.configure(enabled=True, trace_path=str(tmp_path / "on.jsonl"))
+        settings.reset()
+    settings.configure(obs=True, obs_trace=str(tmp_path / "on.jsonl"))
     try:
         traced = run_single_program("gcc", "MORC", n_instructions=4000)
     finally:
-        obs.reset()
+        settings.reset()
     # the tracer observes, never perturbs: bit-identical results
     assert _result_fingerprint(baseline) == _result_fingerprint(traced)
     assert baseline.metrics.miss_latencies == traced.metrics.miss_latencies
@@ -193,32 +193,6 @@ def test_cli_list_shows_obs_knobs(capsys):
                  "REPRO_OBS_SAMPLE", "REPRO_JOBS", "REPRO_SCALE"):
         assert knob in output
     assert "REPRO_FAST" not in output
-
-
-# -- config parsing ------------------------------------------------------
-
-def test_env_parsing(monkeypatch):
-    from repro.common.errors import ConfigError
-    from repro.obs.config import load_from_env
-    monkeypatch.setenv("REPRO_OBS", "1")
-    monkeypatch.setenv("REPRO_OBS_CATEGORIES", "llc,mem")
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "8")
-    config = load_from_env()
-    assert config.enabled
-    assert config.categories == frozenset({"llc", "mem"})
-    assert config.mem_sample_interval == 8
-    assert config.category_enabled("llc")
-    assert not config.category_enabled("compression")
-    monkeypatch.setenv("REPRO_OBS_CATEGORIES", "llc,warp")
-    with pytest.raises(ConfigError):
-        load_from_env()
-    monkeypatch.setenv("REPRO_OBS_CATEGORIES", "")
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "0")
-    with pytest.raises(ConfigError):
-        load_from_env()
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "many")
-    with pytest.raises(ConfigError):
-        load_from_env()
 
 
 def test_entropy_classes():

@@ -28,8 +28,8 @@ from repro.conformance.oracles import (
     reference_lbe_compress,
     reference_lbe_measure,
 )
+from repro import settings
 from repro.experiments import figure6, parallel
-from repro.experiments.runner import scale_instructions
 from repro.perf.corpus import ARCHETYPES, line_corpus, mixed_stream
 
 
@@ -162,13 +162,16 @@ def test_bitwriter_rejects_bad_fields():
 
 # -- parallel engine ----------------------------------------------------
 
-def test_parallel_matches_serial(monkeypatch):
+def test_parallel_matches_serial():
     kwargs = dict(benchmarks=["gcc", "hmmer"], n_instructions=8_000,
                   schemes=("Uncompressed", "MORC"))
-    monkeypatch.setenv("REPRO_JOBS", "1")
-    serial = figure6.run(**kwargs)
-    monkeypatch.setenv("REPRO_JOBS", "2")
-    pooled = figure6.run(**kwargs)
+    try:
+        settings.configure(jobs=1)
+        serial = figure6.run(**kwargs)
+        settings.configure(jobs=2)
+        pooled = figure6.run(**kwargs)
+    finally:
+        settings.reset()
     for scheme in kwargs["schemes"]:
         for a, b in zip(serial.runs[scheme], pooled.runs[scheme]):
             assert a.compression_ratio == b.compression_ratio
@@ -179,28 +182,6 @@ def test_parallel_matches_serial(monkeypatch):
         f"{benchmark}/{scheme}" for scheme in kwargs["schemes"]
         for benchmark in kwargs["benchmarks"]]
     assert all(t.seconds > 0 for t in timings)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert parallel.worker_count() == 3
-    monkeypatch.delenv("REPRO_JOBS")
-    assert parallel.worker_count() >= 1
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    with pytest.raises(ConfigError):
-        parallel.worker_count()
-    monkeypatch.setenv("REPRO_JOBS", "many")
-    with pytest.raises(ConfigError):
-        parallel.worker_count()
-
-
-def test_scale_instructions_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "2")
-    assert scale_instructions(10_000) == 20_000
-    for bad in ("0", "-1", "nope"):
-        monkeypatch.setenv("REPRO_SCALE", bad)
-        with pytest.raises(ConfigError):
-            scale_instructions(10_000)
 
 
 def test_run_spec_memory_keys():

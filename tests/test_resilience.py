@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-import repro.resilience as resilience
+from repro import settings
 from repro.cache.set_assoc import AdaptiveCache, SEGMENT_BYTES
 from repro.cache.skewed import SkewedCompressedCache
 from repro.common.config import CacheGeometry, MorcConfig
@@ -22,7 +22,6 @@ from repro.common.errors import (
 )
 from repro.morc.cache import UNCOMPRESSED_LINE_BITS, MorcCache
 from repro.resilience import verify as res_verify
-from repro.resilience.config import parse_soft_errors
 from repro.resilience.faults import SoftErrorInjector, make_injector
 from repro.sim.system import run_single_program
 
@@ -30,9 +29,9 @@ from repro.sim.system import run_single_program
 @pytest.fixture(autouse=True)
 def _reset_resilience():
     """Every test starts and ends with the environment's (inert) config."""
-    resilience.reset()
+    settings.reset()
     yield
-    resilience.reset()
+    settings.reset()
 
 
 def line(byte):
@@ -46,6 +45,10 @@ def small_morc(**overrides):
 
 
 # -- spec parsing ---------------------------------------------------------
+
+
+def parse_soft_errors(raw):
+    return settings.from_env({"REPRO_SOFT_ERRORS": raw}).soft_errors
 
 
 class TestSpecParsing:
@@ -75,7 +78,7 @@ class TestSpecParsing:
 
     def test_configure_rejects_unknown_policy(self):
         with pytest.raises(ConfigError):
-            resilience.configure(policy="shrug")
+            settings.configure(soft_error_policy="shrug")
 
 
 # -- injector determinism -------------------------------------------------
@@ -127,7 +130,7 @@ class TestInjector:
 
 class TestMorcRecovery:
     def test_refetch_recovers_and_reports(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+        settings.configure(soft_errors="@0", soft_error_policy="refetch")
         cache = small_morc()
         cache.fill(0, line(1))
         assert cache.stats["soft_errors_injected"] == 1
@@ -142,7 +145,7 @@ class TestMorcRecovery:
         assert cache.read(0).hit
 
     def test_failstop_raises_naming_the_line(self):
-        resilience.configure(soft_errors="@0:5", policy="failstop")
+        settings.configure(soft_errors="@0:5", soft_error_policy="failstop")
         cache = small_morc()
         cache.fill(3 * 64, line(2))
         with pytest.raises(PoisonedLineError) as excinfo:
@@ -153,7 +156,7 @@ class TestMorcRecovery:
         assert excinfo.value.line_address == 3
 
     def test_raw_fallback_stores_uncompressed(self):
-        resilience.configure(soft_errors="@0", policy="raw")
+        settings.configure(soft_errors="@0", soft_error_policy="raw")
         cache = small_morc()
         cache.fill(0, line(3))
         assert not cache.read(0).hit  # detection refetches once
@@ -167,7 +170,7 @@ class TestMorcRecovery:
         assert entry.poison_bit is None  # raw copies are never injected
 
     def test_dirty_loss_counted(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+        settings.configure(soft_errors="@0", soft_error_policy="refetch")
         cache = small_morc()
         cache.writeback(0, line(4))
         cache.read(0)
@@ -175,7 +178,7 @@ class TestMorcRecovery:
 
     def test_detection_at_flush_does_not_write_back(self):
         import random
-        resilience.configure(soft_errors="@0", policy="refetch")
+        settings.configure(soft_errors="@0", soft_error_policy="refetch")
         cache = small_morc(n_active_logs=1)
         rng = random.Random(0)
         cache.writeback(0, bytes(rng.getrandbits(8) for _ in range(64)))
@@ -194,7 +197,7 @@ class TestMorcRecovery:
 
 class TestSetAssocRecovery:
     def test_refetch_on_read(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+        settings.configure(soft_errors="@0", soft_error_policy="refetch")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         cache.fill(0, bytes(64))  # zero line compresses -> injectable
         assert cache.stats["soft_errors_injected"] == 1
@@ -204,14 +207,14 @@ class TestSetAssocRecovery:
         assert cache.read(0).hit
 
     def test_failstop(self):
-        resilience.configure(soft_errors="@0", policy="failstop")
+        settings.configure(soft_errors="@0", soft_error_policy="failstop")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         cache.fill(0, bytes(64))
         with pytest.raises(PoisonedLineError):
             cache.read(0)
 
     def test_raw_fallback_fills_all_segments(self):
-        resilience.configure(soft_errors="@0", policy="raw")
+        settings.configure(soft_errors="@0", soft_error_policy="raw")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         cache.fill(0, bytes(64))
         cache.read(0)
@@ -221,7 +224,7 @@ class TestSetAssocRecovery:
         assert cache_set.lines[0].poison_bit is None
 
     def test_uncompressed_lines_never_injected(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+        settings.configure(soft_errors="@0", soft_error_policy="refetch")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         import os
         incompressible = os.urandom(64)
@@ -234,7 +237,7 @@ class TestSetAssocRecovery:
 
 class TestSkewedRecovery:
     def test_refetch_on_read(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+        settings.configure(soft_errors="@0", soft_error_policy="refetch")
         cache = SkewedCompressedCache(CacheGeometry(8 * 1024, ways=8))
         cache.fill(0, bytes(64))
         assert cache.stats["soft_errors_injected"] == 1
@@ -244,7 +247,7 @@ class TestSkewedRecovery:
         assert cache.read(0).hit
 
     def test_failstop(self):
-        resilience.configure(soft_errors="@0", policy="failstop")
+        settings.configure(soft_errors="@0", soft_error_policy="failstop")
         cache = SkewedCompressedCache(CacheGeometry(8 * 1024, ways=8))
         cache.fill(0, bytes(64))
         with pytest.raises(PoisonedLineError) as excinfo:
@@ -252,7 +255,7 @@ class TestSkewedRecovery:
         assert "superblock" in str(excinfo.value)
 
     def test_raw_fallback_uses_full_entry(self):
-        resilience.configure(soft_errors="@0", policy="raw")
+        settings.configure(soft_errors="@0", soft_error_policy="raw")
         cache = SkewedCompressedCache(CacheGeometry(8 * 1024, ways=8))
         cache.fill(0, bytes(64))
         cache.read(0)
@@ -267,7 +270,7 @@ class TestSkewedRecovery:
 
 class TestEndToEnd:
     def test_run_completes_under_injection(self):
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+        settings.configure(soft_errors="1e-3", soft_error_policy="refetch")
         result = run_single_program("gcc", "MORC", n_instructions=20_000)
         assert result.llc_stats["soft_errors_injected"] > 0
         assert result.llc_stats["soft_errors_detected"] > 0
@@ -275,19 +278,19 @@ class TestEndToEnd:
                 == result.llc_stats["soft_errors_detected"])
 
     def test_injected_runs_are_deterministic(self):
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+        settings.configure(soft_errors="1e-3", soft_error_policy="refetch")
         a = run_single_program("gcc", "MORC", n_instructions=15_000)
         b = run_single_program("gcc", "MORC", n_instructions=15_000)
         assert a.llc_stats == b.llc_stats
         assert a.ipc == b.ipc
 
     def test_raw_policy_run_records_fallbacks(self):
-        resilience.configure(soft_errors="1e-3", policy="raw")
+        settings.configure(soft_errors="1e-3", soft_error_policy="raw")
         result = run_single_program("gcc", "MORC", n_instructions=20_000)
         assert result.llc_stats["raw_fallbacks"] > 0
 
     def test_baselines_complete_under_injection(self):
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+        settings.configure(soft_errors="1e-3", soft_error_policy="refetch")
         for scheme in ("Adaptive", "Skewed"):
             result = run_single_program("gcc", scheme,
                                         n_instructions=15_000)
@@ -296,8 +299,8 @@ class TestEndToEnd:
     def test_clean_run_bit_identical_to_default(self):
         baseline = run_single_program("gcc", "MORC",
                                       n_instructions=15_000)
-        resilience.configure(soft_errors="0", policy="refetch",
-                             verify=False)
+        settings.configure(soft_errors="0", soft_error_policy="refetch",
+                           verify=False)
         clean = run_single_program("gcc", "MORC", n_instructions=15_000)
         assert clean.compression_ratio == baseline.compression_ratio
         assert clean.ipc == baseline.ipc
@@ -306,7 +309,7 @@ class TestEndToEnd:
     def test_verified_run_bit_identical(self):
         baseline = run_single_program("gcc", "MORC",
                                       n_instructions=15_000)
-        resilience.configure(verify=True)
+        settings.configure(verify=True)
         verified = run_single_program("gcc", "MORC",
                                       n_instructions=15_000)
         assert verified.compression_ratio == baseline.compression_ratio
@@ -314,7 +317,7 @@ class TestEndToEnd:
         assert verified.llc_stats == baseline.llc_stats
 
     def test_verified_baselines_pass(self):
-        resilience.configure(verify=True)
+        settings.configure(verify=True)
         for scheme in ("Adaptive", "Decoupled", "SC2", "Skewed"):
             run_single_program("gcc", scheme, n_instructions=8_000)
 
@@ -325,15 +328,14 @@ class TestEndToEnd:
 class TestObservability:
     @pytest.fixture
     def trace_path(self, tmp_path):
-        import repro.obs as obs
         path = tmp_path / "trace.jsonl"
-        obs.configure(enabled=True, trace_path=str(path))
+        settings.configure(obs=True, obs_trace=str(path))
         yield str(path)
-        obs.reset()
+        settings.reset()
 
     def test_events_emitted(self, trace_path):
         from repro.obs.reader import read_all
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+        settings.configure(soft_errors="1e-3", soft_error_policy="refetch")
         run_single_program("gcc", "MORC", n_instructions=20_000)
         events, malformed = read_all(trace_path)
         assert malformed == 0
@@ -347,7 +349,7 @@ class TestObservability:
 
     def test_obs_summary_renders_resilience_section(self, trace_path):
         from repro.cli import main as cli_main
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+        settings.configure(soft_errors="1e-3", soft_error_policy="refetch")
         run_single_program("gcc", "MORC", n_instructions=20_000)
         from repro.obs.summary import render, summarize
         text = render(summarize(trace_path))
@@ -404,7 +406,7 @@ class TestAuditor:
             res_verify.audit(cache)
 
     def test_audit_runs_from_sample_ratio_when_enabled(self):
-        resilience.configure(verify=True)
+        settings.configure(verify=True)
         cache = small_morc()
         cache.fill(0, line(1))
         cache.sample_ratio()  # healthy: no raise
@@ -413,7 +415,7 @@ class TestAuditor:
             cache.sample_ratio()
 
     def test_roundtrip_verification_catches_bad_codec(self):
-        resilience.configure(verify=True)
+        settings.configure(verify=True)
 
         class LyingCodec:
             name = "liar"
