@@ -36,15 +36,13 @@ if str(SRC) not in sys.path:
 
 from repro.common.bitio import BitWriter                   # noqa: E402
 from repro.compression.cpack import CPackCompressor        # noqa: E402
-from repro.compression.fpc import FpcCompressor            # noqa: E402
 from repro.compression.lbe import LbeCompressor, LbeDictionary  # noqa: E402
+from repro.conformance.corpus import mixed_stream        # noqa: E402
 from repro.conformance.oracles import (                     # noqa: E402
     ReferenceBitWriter,
     reference_cpack_bits,
-    reference_fpc_bits,
     reference_lbe_measure,
 )
-from repro.perf.corpus import mixed_stream                 # noqa: E402
 
 #: active logs trialled per fill in the MORC cache (morc/cache.py)
 TRIAL_LOGS = 8
@@ -420,8 +418,6 @@ def main(argv=None) -> int:
     kernels["lbe_measure_trial_placement"] = bench_lbe_measure(corpus)
     kernels["cpack_compress"] = bench_line_codec(
         corpus, CPackCompressor(), reference_cpack_bits)
-    kernels["fpc_compress"] = bench_line_codec(
-        corpus, FpcCompressor(), reference_fpc_bits)
     kernels["bitwriter"] = bench_bitio(bitio_fields)
     for name, numbers in kernels.items():
         print(f"  {name:32s} {numbers['reference_s']:.3f}s -> "

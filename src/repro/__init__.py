@@ -4,7 +4,7 @@ MORC is a log-based, inter-line compressed last-level cache for
 throughput-oriented manycores.  This package implements the MORC
 architecture, the prior-work baselines it was evaluated against
 (Adaptive, Decoupled, SC2), the compression algorithms involved (LBE,
-C-Pack, FPC, Huffman, tag base-delta), synthetic SPEC2006 surrogate
+C-Pack, LZ, Huffman, tag base-delta), synthetic SPEC2006 surrogate
 workloads, and a trace-driven simulation harness reproducing every table
 and figure in the paper's evaluation (see DESIGN.md / EXPERIMENTS.md).
 

@@ -100,11 +100,3 @@ class L1Cache:
         line_address = address // self.geometry.line_size
         line = self._set_for(address).lines.get(line_address)
         return None if line is None else line.data
-
-    @property
-    def miss_count(self) -> int:
-        return int(self.stats.get("misses"))
-
-    @property
-    def access_count(self) -> int:
-        return int(self.stats.get("hits") + self.stats.get("misses"))

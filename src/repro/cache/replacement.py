@@ -106,15 +106,6 @@ class FifoPolicy(ReplacementPolicy):
         return key in self._order
 
 
-def make_policy(name: str) -> ReplacementPolicy:
-    """Factory by name ("lru" or "fifo")."""
-    if name == "lru":
-        return LruPolicy()
-    if name == "fifo":
-        return FifoPolicy()
-    raise ValueError(f"unknown replacement policy {name!r}")
-
-
 class RoundRobinCounter:
     """Tiny helper for way-pick rotation (used by the LMT)."""
 

@@ -67,6 +67,14 @@ RUNNABLE_SCHEMES = ALL_SCHEMES + ("Skewed", "MORCMerged", "MORC-CPack",
                                   "MORC-LZ", "Uncompressed8x")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for ``-n/--instructions``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="simulate one benchmark under one scheme")
     run_parser.add_argument("benchmark")
     run_parser.add_argument("scheme", choices=RUNNABLE_SCHEMES)
-    run_parser.add_argument("-n", "--instructions", type=int,
+    run_parser.add_argument("-n", "--instructions", type=positive_int,
                             default=120_000)
     run_parser.add_argument("--bandwidth-mb", type=float, default=100.0,
                             help="per-thread bandwidth cap (MB/s)")
@@ -89,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=(module.__doc__ or "").strip().splitlines()[0])
         experiment_parser.add_argument("-b", "--benchmarks", nargs="*",
                                        default=None)
-        experiment_parser.add_argument("-n", "--instructions", type=int,
-                                       default=None)
+        experiment_parser.add_argument("-n", "--instructions",
+                                       type=positive_int, default=None)
         experiment_parser.add_argument(
             "--checkpoint", default=None, metavar="PATH",
             help="journal every finished cell to PATH so a killed "
@@ -111,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("-o", "--output", default="report.md")
     report_parser.add_argument("-b", "--benchmarks", nargs="*",
                                default=None)
-    report_parser.add_argument("-n", "--instructions", type=int,
+    report_parser.add_argument("-n", "--instructions", type=positive_int,
                                default=None)
     report_parser.add_argument("--fast", action="store_true",
                                help="skip the slow multi-program and "
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     anatomy_parser = subparsers.add_parser(
         "anatomy", help="decompose MORC's compression ratio on a benchmark")
     anatomy_parser.add_argument("benchmark")
-    anatomy_parser.add_argument("-n", "--instructions", type=int,
+    anatomy_parser.add_argument("-n", "--instructions", type=positive_int,
                                 default=120_000)
 
     trace_parser = subparsers.add_parser(
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("benchmark")
     trace_parser.add_argument("path",
                               help="output file (.trc or .trc.gz)")
-    trace_parser.add_argument("-n", "--instructions", type=int,
+    trace_parser.add_argument("-n", "--instructions", type=positive_int,
                               default=120_000)
 
     check_parser = subparsers.add_parser(
@@ -187,7 +195,7 @@ def _command_experiment(name: str, args: argparse.Namespace) -> int:
         key = {"figure8": "mixes", "microbench": "micros"}.get(
             name, "benchmarks")
         kwargs[key] = args.benchmarks
-    if getattr(args, "instructions", None):
+    if getattr(args, "instructions", None) is not None:
         key = ("n_instructions_each" if name == "figure8"
                else "n_instructions")
         kwargs[key] = args.instructions

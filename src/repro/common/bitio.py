@@ -1,6 +1,6 @@
 """Bit-granular stream writer and reader.
 
-Compression algorithms in this package (LBE, C-Pack, FPC, Huffman, tag
+Compression algorithms in this package (LBE, C-Pack, Huffman, tag
 base-delta) all emit variable-length codes.  :class:`BitWriter` and
 :class:`BitReader` provide an exact, testable bit-stream so compressed sizes
 are measured bit-accurately rather than estimated.

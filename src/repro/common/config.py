@@ -159,17 +159,6 @@ class SystemConfig:
         _require(self.llc_latency_cycles >= 0, "LLC latency cannot be negative")
         _require(self.threads_per_core >= 1, "need at least one thread per core")
 
-    @property
-    def llc_total(self) -> CacheGeometry:
-        """The shared LLC aggregated over all cores."""
-        if self.n_cores == 1:
-            return self.llc_per_core
-        return CacheGeometry(
-            size_bytes=self.llc_per_core.size_bytes * self.n_cores,
-            ways=self.llc_per_core.ways,
-            line_size=self.llc_per_core.line_size,
-        )
-
     def with_bandwidth(self, bytes_per_sec: float) -> "SystemConfig":
         """Copy of this config with a different per-thread bandwidth cap."""
         return replace(self, memory=replace(

@@ -28,7 +28,7 @@ class CompressionError(ReproError):
 class CorruptBitstreamError(CompressionError):
     """A compressed bitstream failed to decode.
 
-    Raised by the hardened decoders (LBE, C-Pack, FPC, SC2/Huffman) and
+    Raised by the hardened decoders (LBE, C-Pack, SC2/Huffman) and
     by :class:`repro.common.bitio.BitReader` instead of a bare
     ``IndexError`` or a garbage decode.  Carries where and why:
 

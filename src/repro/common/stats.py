@@ -8,7 +8,7 @@ components knowing about the experiment harness.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator
 
 
 class StatGroup:
@@ -16,25 +16,18 @@ class StatGroup:
 
     Counters spring into existence at zero on first use, so component code
     can ``stats.add("hits")`` without registration boilerplate.
-
-    Keys written through :meth:`set` are *gauges* (point-in-time snapshots
-    such as occupancy): they keep last-writer-wins semantics everywhere,
-    including :meth:`merge`, where summing two snapshots would produce a
-    meaningless value.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._counters: Dict[str, float] = defaultdict(float)
-        self._gauges: Set[str] = set()
 
     def add(self, key: str, amount: float = 1.0) -> None:
         """Increment a counter."""
         self._counters[key] += amount
 
     def set(self, key: str, value: float) -> None:
-        """Overwrite a gauge (e.g. occupancy snapshots; merges don't sum)."""
-        self._gauges.add(key)
+        """Overwrite a counter (e.g. occupancy snapshots)."""
         self._counters[key] = value
 
     def get(self, key: str) -> float:
@@ -54,28 +47,9 @@ class StatGroup:
         """Snapshot of all counters."""
         return dict(self._counters)
 
-    def is_gauge(self, key: str) -> bool:
-        """True when ``key`` was written via :meth:`set` (gauge semantics)."""
-        return key in self._gauges
-
-    def merge(self, other: "StatGroup") -> None:
-        """Fold ``other`` into this group.
-
-        Additive counters sum; gauges take ``other``'s value
-        (last-writer-wins) — summing two occupancy snapshots would report
-        an occupancy neither group ever saw.
-        """
-        for key, value in other._counters.items():
-            if key in other._gauges or key in self._gauges:
-                self._counters[key] = value
-                self._gauges.add(key)
-            else:
-                self._counters[key] += value
-
     def reset(self) -> None:
         """Zero every counter."""
         self._counters.clear()
-        self._gauges.clear()
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """Safe counter ratio; 0.0 when the denominator is zero."""

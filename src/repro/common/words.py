@@ -47,15 +47,3 @@ def words32(data: bytes) -> list[int]:
 def from_words32(values: Sequence[int]) -> bytes:
     """Rebuild raw bytes from 32-bit big-endian words."""
     return b"".join(value.to_bytes(4, "big") for value in values)
-
-
-def leading_zero_bytes(word: int) -> int:
-    """Number of leading zero bytes in a 32-bit word (0-4)."""
-    if word == 0:
-        return 4
-    return 4 - (word.bit_length() + 7) // 8
-
-
-def is_zero(data: bytes) -> bool:
-    """True if every byte of ``data`` is zero."""
-    return not any(data)

@@ -3,7 +3,8 @@
 - :mod:`repro.compression.lbe` — Large-Block Encoding (the paper's §3.2.5)
 - :mod:`repro.compression.cpack` — C-Pack (Chen et al.), used by Adaptive
   and Decoupled baselines
-- :mod:`repro.compression.fpc` — Frequent Pattern Compression
+- :mod:`repro.compression.lz` — LZ77 over a log's byte history, the
+  paper's §6 software alternative to LBE (the MORC-LZ ablation)
 - :mod:`repro.compression.huffman` / :mod:`repro.compression.sc2dict` —
   canonical Huffman coding with a sampled system-wide dictionary (SC2)
 - :mod:`repro.compression.tag_compression` — base-delta tag compression
@@ -14,14 +15,12 @@
 
 from repro.compression.base import CompressedSize, IntraLineCompressor
 from repro.compression.cpack import CPackCompressor
-from repro.compression.fpc import FpcCompressor
 from repro.compression.lbe import LbeCompressor, LbeDictionary, Symbol
 from repro.compression.tag_compression import TagCompressor
 
 __all__ = [
     "CPackCompressor",
     "CompressedSize",
-    "FpcCompressor",
     "IntraLineCompressor",
     "LbeCompressor",
     "LbeDictionary",

@@ -2,11 +2,12 @@
 
 Two families exist:
 
-- *Intra-line* compressors (C-Pack, FPC, the SC2 Huffman coder) compress a
+- *Intra-line* compressors (C-Pack, the SC2 Huffman coder) compress a
   single 64B line independently; the cache stores the compressed size and
   the original data.
-- *Stream* compressors (LBE) carry dictionary state across lines appended
-  to the same log; they live in :mod:`repro.compression.lbe`.
+- *Stream* compressors (LBE, LZ) carry dictionary state across lines
+  appended to the same log; they live in :mod:`repro.compression.lbe`
+  and :mod:`repro.compression.lz`.
 """
 
 from __future__ import annotations

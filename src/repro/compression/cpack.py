@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.common.bitio import BitReader, BitWriter
-from repro.common.errors import CompressionError, CorruptBitstreamError
+from repro.common.errors import CorruptBitstreamError
 from repro.common.words import LINE_SIZE, check_line, from_words32, words32
 from repro.compression.base import CompressedSize, IntraLineCompressor
 from repro.obs.trace import compression_event

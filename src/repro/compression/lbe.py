@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.bitio import BitReader, BitWriter
-from repro.common.errors import CompressionError, CorruptBitstreamError
+from repro.common.errors import CorruptBitstreamError
 from repro.common.words import LINE_SIZE, check_line
 from repro.obs.trace import compression_event
 
@@ -111,12 +111,6 @@ class Symbol:
     def data_bytes(self) -> int:
         """How many uncompressed bytes this symbol represents."""
         return _SIZE_FOR_KIND[self.kind]
-
-    @property
-    def is_zero(self) -> bool:
-        """True for the z* family (and literal zero words)."""
-        return self.kind.startswith("z") or (
-            self.kind.startswith("u") and self.value == 0)
 
     @property
     def size_bits(self) -> int:

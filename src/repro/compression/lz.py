@@ -170,16 +170,7 @@ class LzStreamCompressor:
         lines: List[bytes] = []
         for index, compressed in enumerate(compressed_lines):
             start = len(stream)
-            for token in compressed.tokens:
-                if token[0] == "lit":
-                    stream.append(token[1])
-                else:
-                    _, offset, length = token
-                    source = len(stream) - offset
-                    if source < 0:
-                        raise CompressionError("LZ offset before stream")
-                    for i in range(length):  # may self-overlap
-                        stream.append(stream[source + i])
+            self._replay(stream, compressed.tokens)
             if len(stream) - start != LINE_SIZE:
                 raise CompressionError(
                     f"line {index} decoded to {len(stream) - start} bytes")
@@ -187,3 +178,25 @@ class LzStreamCompressor:
             if upto is not None and index >= upto:
                 break
         return lines
+
+    def decode_line(self, compressed: LzCompressedLine,
+                    history: bytes) -> bytes:
+        """Decode one line whose matches may reach into ``history``, the
+        log's uncompressed bytes before the line was appended."""
+        stream = bytearray(history)
+        self._replay(stream, compressed.tokens)
+        return bytes(stream[len(history):])
+
+    @staticmethod
+    def _replay(stream: bytearray, tokens: Tuple[Token, ...]) -> None:
+        """Append the bytes ``tokens`` encode to ``stream``."""
+        for token in tokens:
+            if token[0] == "lit":
+                stream.append(token[1])
+            else:
+                _, offset, length = token
+                source = len(stream) - offset
+                if source < 0:
+                    raise CompressionError("LZ offset before stream")
+                for i in range(length):  # may self-overlap
+                    stream.append(stream[source + i])

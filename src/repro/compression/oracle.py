@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.stats import StatGroup
 from repro.common.words import LINE_SIZE, check_line, words32

@@ -49,11 +49,6 @@ class Sc2Dictionary:
         self._code: Optional[HuffmanCode] = None
         self._lines_since_training = 0
 
-    @property
-    def trained(self) -> bool:
-        """True once a Huffman code has been installed."""
-        return self._code is not None
-
     def observe(self, line: bytes) -> None:
         """Account one filled line's values toward the statistics."""
         line = check_line(line)

@@ -246,73 +246,6 @@ def reference_cpack_bits(line: bytes) -> int:
                for token in reference_cpack_tokens(line))
 
 
-# -- FPC ----------------------------------------------------------------
-
-_FPC_PREFIX_BITS = 3
-_FPC_MAX_ZERO_RUN = 8
-_FPC_PAYLOAD_BITS = {
-    "zero_run": 3, "sign4": 4, "sign8": 8, "sign16": 16,
-    "pad16": 16, "halfword_bytes": 16, "repeat8": 8, "raw": 32,
-}
-
-
-def _sign_extends(word: int, bits: int) -> bool:
-    signed = word - (1 << 32) if word & (1 << 31) else word
-    low = 1 << (bits - 1)
-    return -low <= signed < low
-
-
-def _sign_extends_16(half: int, bits: int) -> bool:
-    signed = half - (1 << 16) if half & (1 << 15) else half
-    low = 1 << (bits - 1)
-    return -low <= signed < low
-
-
-def reference_fpc_tokens(line: bytes) -> List[tuple]:
-    """Seed implementation of :meth:`FpcCompressor.compress_tokens`."""
-    line = check_line(line)
-    tokens: List[tuple] = []
-    run = 0
-    for word in words32(line):
-        if word == 0 and run < _FPC_MAX_ZERO_RUN:
-            run += 1
-            continue
-        if run:
-            tokens.append(("zero_run", run))
-            run = 0
-        if word == 0:
-            run = 1
-            continue
-        tokens.append(_fpc_encode_word(word))
-    if run:
-        tokens.append(("zero_run", run))
-    return tokens
-
-
-def _fpc_encode_word(word: int) -> tuple:
-    if _sign_extends(word, 4):
-        return ("sign4", word & 0xF)
-    if _sign_extends(word, 8):
-        return ("sign8", word & 0xFF)
-    if _sign_extends(word, 16):
-        return ("sign16", word & 0xFFFF)
-    if word & 0xFFFF == 0:
-        return ("pad16", word >> 16)
-    high, low = word >> 16, word & 0xFFFF
-    if _sign_extends_16(high, 8) and _sign_extends_16(low, 8):
-        return ("halfword_bytes", ((high & 0xFF) << 8) | (low & 0xFF))
-    byte = word & 0xFF
-    if word == byte * 0x01010101:
-        return ("repeat8", byte)
-    return ("raw", word)
-
-
-def reference_fpc_bits(line: bytes) -> int:
-    """Exact FPC encoded size of ``line``, reference path."""
-    return sum(_FPC_PREFIX_BITS + _FPC_PAYLOAD_BITS[token[0]]
-               for token in reference_fpc_tokens(line))
-
-
 # -- bit I/O ------------------------------------------------------------
 
 class ReferenceBitWriter:

@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     instructions_for,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 ABLATION_BENCHMARKS = ("gcc", "mcf", "cactusADM", "h264ref", "soplex")
 
@@ -43,13 +42,12 @@ class AblationResult:
     lmt_conflict_rate: Dict[str, List[float]] = field(default_factory=dict)
 
 
-@timed_experiment("ablations")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         engine: Optional[EngineOptions] = None) -> AblationResult:
     benchmarks = list(benchmarks or ABLATION_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     result = AblationResult(benchmarks=benchmarks)
 
     def specs_for(scheme: str, config: Optional[SystemConfig] = None,

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     geomean,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.throughput import coarse_grain_throughput
 
 SCHEMES = ("Adaptive", "Decoupled", "SC2", "MORC")
@@ -44,15 +43,14 @@ class FigureTenResult:
         default_factory=dict)
 
 
-@timed_experiment("figure10")
 def run(benchmarks: Optional[Sequence[str]] = None,
         bandwidths_mb_s: Sequence[float] = BANDWIDTHS_MB_S,
         n_instructions: Optional[int] = None,
         schemes: Sequence[str] = SCHEMES,
         engine: Optional[EngineOptions] = None) -> FigureTenResult:
     benchmarks = list(benchmarks or SWEEP_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS // 2)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS // 2)
     # Flatten the whole bandwidth x (baseline + schemes) x benchmark grid
     # into one spec list so the pool sees every cell at once.
     all_schemes = ("Uncompressed",) + tuple(schemes)

@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     geomean,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.throughput import coarse_grain_throughput
 
 CACHE_SIZES_KB = (64, 128, 256, 1024, 4096)
@@ -38,14 +37,13 @@ class FigureElevenResult:
     normalized_throughput: List[float] = field(default_factory=list)
 
 
-@timed_experiment("figure11")
 def run(benchmarks: Optional[Sequence[str]] = None,
         sizes_kb: Sequence[int] = CACHE_SIZES_KB,
         n_instructions: Optional[int] = None,
         engine: Optional[EngineOptions] = None) -> FigureElevenResult:
     benchmarks = list(benchmarks or SWEEP_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS // 2)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS // 2)
     specs = [RunSpec(benchmark, scheme,
                      config=SystemConfig().with_llc_size(size_kb * 1024),
                      n_instructions=instructions_for(benchmark,

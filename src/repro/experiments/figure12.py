@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 
 @dataclass
@@ -34,14 +33,13 @@ class InvalidRatioOutcome:
     non_inclusive_pct: float
 
 
-@timed_experiment("figure12")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,
         engine: Optional[EngineOptions] = None) -> List[InvalidRatioOutcome]:
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     specs = [RunSpec(benchmark, "MORC", config=config,
                      n_instructions=instructions_for(benchmark,
                                                      n_instructions),

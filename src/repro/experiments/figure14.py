@@ -20,7 +20,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 #: (label, inclusive upper bound in decompressed bytes)
 BINS: Tuple[Tuple[str, float], ...] = (
@@ -52,14 +51,13 @@ def bin_histogram(histogram: Dict[int, int]) -> Dict[str, float]:
     return binned
 
 
-@timed_experiment("figure14")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,
         engine: Optional[EngineOptions] = None) -> List[LatencyDistribution]:
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     specs = [RunSpec(benchmark, "MORC", config=config,
                      n_instructions=instructions_for(benchmark,
                                                      n_instructions))

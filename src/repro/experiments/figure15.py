@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 
 @dataclass
@@ -33,14 +32,13 @@ class MergedOutcome:
     merged_ratio: float
 
 
-@timed_experiment("figure15")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,
         engine: Optional[EngineOptions] = None) -> List[MergedOutcome]:
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     config = config or SystemConfig()
     specs = [RunSpec(benchmark, scheme, config=config,
                      n_instructions=instructions_for(benchmark,

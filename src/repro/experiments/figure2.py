@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.workloads.spec import make_trace
 
 SAMPLE_EVERY = 4096  # accesses between compression-ratio samples
@@ -78,14 +77,13 @@ def _oracle_cell(cell: tuple) -> tuple:
     return _run_oracle(benchmark, n_instructions, cache)
 
 
-@timed_experiment("figure2")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         engine: Optional[EngineOptions] = None) -> List[OracleOutcome]:
     """Run the Figure 2 limit study (3 oracle cells per benchmark)."""
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     cells = [(benchmark, instructions_for(benchmark, n_instructions), mode)
              for benchmark in benchmarks for mode in _MODES]
     results = iter(parallel_map(_oracle_cell, cells, label="oracle",

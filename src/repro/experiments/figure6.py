@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.system import SingleRunResult
 from repro.sim.throughput import ipc_improvement, throughput_improvement
 
@@ -61,7 +60,6 @@ class FigureSixResult:
                 for scheme in COMPRESSED}
 
 
-@timed_experiment("figure6")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,
@@ -69,8 +67,8 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         engine: Optional[EngineOptions] = None) -> FigureSixResult:
     """Run every (benchmark, scheme) pair of Figure 6, in parallel."""
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     config = config or SystemConfig()
     specs = [RunSpec(benchmark, scheme, config=config,
                      n_instructions=instructions_for(benchmark,

@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 #: figure column order; zX folds into the matching mX column
 COLUMNS = ("m256", "m128", "m64", "m32", "u32", "u16", "u8")
@@ -39,15 +38,14 @@ class SymbolDistribution:
     zero_portion: Dict[str, float]  # column -> fraction of bytes (zeros)
 
 
-@timed_experiment("figure7")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,
         engine: Optional[EngineOptions] = None) -> List[SymbolDistribution]:
     """Collect LBE symbol usage from MORC runs."""
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     specs = [RunSpec(benchmark, "MORC", config=config,
                      n_instructions=instructions_for(benchmark,
                                                      n_instructions))

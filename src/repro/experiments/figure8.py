@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     DEFAULT_MULTI_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.system import MultiProgramResult
 from repro.workloads.mixes import ALL_MULTI_WORKLOADS
 
@@ -75,7 +74,6 @@ class FigureEightResult:
             for scheme in COMPRESSED}
 
 
-@timed_experiment("figure8")
 def run(mixes: Optional[Sequence[str]] = None,
         n_instructions_each: Optional[int] = None,
         config: Optional[SystemConfig] = None,
@@ -86,8 +84,8 @@ def run(mixes: Optional[Sequence[str]] = None,
     for mix in mixes:
         if mix not in ALL_MULTI_WORKLOADS:
             raise KeyError(f"unknown mix {mix!r}")
-    n_each = n_instructions_each or scale_instructions(
-        DEFAULT_MULTI_INSTRUCTIONS)
+    n_each = (scale_instructions(DEFAULT_MULTI_INSTRUCTIONS)
+              if n_instructions_each is None else n_instructions_each)
     specs = [MultiProgramSpec(mix, scheme, config=config,
                               n_instructions_each=n_each)
              for scheme in schemes for mix in mixes]

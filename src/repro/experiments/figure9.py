@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.energy import EnergyBreakdown
 from repro.sim.system import SingleRunResult
 
@@ -56,15 +55,14 @@ class FigureNineResult:
         return sum(savings) / len(savings) if savings else 0.0
 
 
-@timed_experiment("figure9")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,
         schemes: Sequence[str] = SCHEMES,
         engine: Optional[EngineOptions] = None) -> FigureNineResult:
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
     config = config or SystemConfig()
     specs = [RunSpec(benchmark, scheme, config=config,
                      n_instructions=instructions_for(benchmark,

@@ -29,7 +29,7 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments.report import bar_chart
-from repro.experiments.runner import DEFAULT_BENCHMARKS, amean
+from repro.experiments.runner import amean
 
 REPORT_BENCHMARKS = ("astar", "gcc", "h264ref", "hmmer", "mcf",
                      "omnetpp", "bzip2", "cactusADM", "povray", "soplex")

@@ -19,7 +19,6 @@ from repro.experiments.parallel import EngineOptions, parallel_map
 from repro.experiments.report import series_table
 from repro.experiments.runner import scale_instructions
 from repro.mem.controller import MemoryChannel
-from repro.perf.timing import timed_experiment
 from repro.sim.core import CoreSimulator
 from repro.sim.system import make_llc
 from repro.workloads.micro import MICROBENCHMARKS, make_micro_trace
@@ -49,14 +48,13 @@ def _micro_cell(cell: tuple) -> tuple:
             metrics.llc_misses / accesses if accesses else 0.0)
 
 
-@timed_experiment("microbench")
 def run(micros: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         schemes: Sequence[str] = SCHEMES,
         engine: Optional[EngineOptions] = None) -> MicrobenchResult:
     micros = list(micros or MICROBENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_MICRO_INSTRUCTIONS)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_MICRO_INSTRUCTIONS)
     cells = [(micro, scheme, n_instructions)
              for scheme in schemes for micro in micros]
     outcomes = iter(parallel_map(_micro_cell, cells, label="micro",

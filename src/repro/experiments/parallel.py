@@ -65,7 +65,6 @@ from repro.common.errors import CellError, CellFailedError, ConfigError
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
 from repro.obs import trace as obs_trace
 from repro.obs.profiling import WorkerProfile, peak_rss_kb, worker_profiles
-from repro.perf.timing import CellTiming
 from repro.settings import FaultDirective
 
 #: memory-channel selector carried by :class:`RunSpec` (a key, not an
@@ -76,6 +75,22 @@ MEMORY_CHANNELS = ("simple", "link", "banked")
 #: ``fork``); lets injected ``kill`` faults refuse to kill the parent
 #: when a poisoned cell is re-run serially
 _MAIN_PID = os.getpid()
+
+
+@dataclass(frozen=True)
+class CellTiming:
+    """Wall-clock of one simulation cell, as measured in its worker.
+
+    ``queue_wait_s`` is how long the cell sat in the pool's inbox before
+    its worker picked it up; ``peak_rss_kb`` is the worker's resident-set
+    high-water mark after the cell (see :mod:`repro.obs.profiling`).
+    """
+
+    label: str
+    seconds: float
+    worker_pid: int
+    queue_wait_s: float = 0.0
+    peak_rss_kb: int = 0
 
 
 @dataclass(frozen=True)
@@ -275,11 +290,6 @@ def last_errors() -> List[CellError]:
     result.
     """
     return list(_last_errors)
-
-
-def last_wall_seconds() -> float:
-    """Wall clock of the most recent engine invocation."""
-    return _last_wall_s
 
 
 def last_worker_profiles() -> List[WorkerProfile]:

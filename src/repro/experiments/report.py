@@ -73,25 +73,6 @@ def bar_chart(title: str, labels: Sequence[str],
     return "\n".join(lines)
 
 
-def grouped_bar_chart(title: str, row_names: Sequence[str],
-                      series: Dict[str, Sequence[float]],
-                      width: int = 40, unit: str = "") -> str:
-    """Bars grouped per row with one line per (row, series) pair."""
-    lines: List[str] = [title]
-    peak = max((abs(v) for values in series.values() for v in values),
-               default=0.0)
-    label_width = max([len(name) for name in series] or [0])
-    for index, row in enumerate(row_names):
-        lines.append(f"  {row}:")
-        for name, values in series.items():
-            value = float(values[index])
-            length = 0 if peak == 0 else round(abs(value) / peak * width)
-            lines.append(f"    {name.ljust(label_width)} "
-                         f"|{('#' * length).ljust(width)}| "
-                         f"{value:.2f}{unit}")
-    return "\n".join(lines)
-
-
 def _amean(values: Sequence[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0

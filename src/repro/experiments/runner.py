@@ -13,11 +13,9 @@ workload including ``_N`` input variants.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro import settings
-from repro.common.config import SystemConfig
-from repro.sim.system import SingleRunResult, run_single_program
 from repro.workloads.spec import ALL_SINGLE_PROGRAMS
 
 FULL_BENCHMARKS: List[str] = list(ALL_SINGLE_PROGRAMS)
@@ -76,25 +74,3 @@ def amean(values: Sequence[float]) -> float:
     """Arithmetic mean of a possibly-empty sequence."""
     values = list(values)
     return sum(values) / len(values) if values else 0.0
-
-
-class RunCache:
-    """Memoises (benchmark, scheme, key) -> SingleRunResult within a
-    process so experiments sharing baselines don't re-simulate them."""
-
-    def __init__(self) -> None:
-        self._cache: Dict[tuple, SingleRunResult] = {}
-
-    def run(self, benchmark: str, scheme: str,
-            config: Optional[SystemConfig] = None,
-            n_instructions: int = DEFAULT_INSTRUCTIONS,
-            key: object = None, **kwargs) -> SingleRunResult:
-        cache_key = (benchmark, scheme, n_instructions, key)
-        if cache_key not in self._cache:
-            self._cache[cache_key] = run_single_program(
-                benchmark, scheme, config=config,
-                n_instructions=n_instructions, **kwargs)
-        return self._cache[cache_key]
-
-
-SHARED_CACHE = RunCache()

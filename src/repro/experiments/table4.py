@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.experiments.report import format_table
-from repro.perf.timing import timed_experiment
 
 CACHE_BYTES = 128 * 1024
 LINE_BYTES = 64
@@ -88,7 +87,6 @@ def _morc(merged: bool) -> SchemeOverheads:
     return SchemeOverheads(name, extra_tags, metadata, 0.08, 1024)
 
 
-@timed_experiment("table4")
 def run() -> List[SchemeOverheads]:
     """Compute every scheme's overheads."""
     return [_adaptive(), _decoupled(), _sc2(), _morc(False), _morc(True)]

@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     instructions_for,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 VARIANCE_BENCHMARKS = ("gcc", "mcf", "h264ref", "soplex")
 SCHEMES = ("SC2", "MORC")
@@ -62,15 +61,14 @@ class VarianceResult:
         return True
 
 
-@timed_experiment("variance")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_seeds: int = DEFAULT_SEEDS,
         n_instructions: Optional[int] = None,
         schemes: Sequence[str] = SCHEMES,
         engine: Optional[EngineOptions] = None) -> VarianceResult:
     benchmarks = list(benchmarks or VARIANCE_BENCHMARKS)
-    n_instructions = n_instructions or scale_instructions(
-        DEFAULT_INSTRUCTIONS // 2)
+    if n_instructions is None:
+        n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS // 2)
     specs = [RunSpec(benchmark, scheme,
                      n_instructions=instructions_for(benchmark,
                                                      n_instructions),

@@ -1,11 +1,10 @@
-"""First-order hardware area/energy models (CACTI-style scaling).
+"""First-order hardware models (CACTI-style scaling).
 
-The paper sources its SRAM numbers from CACTI 5.0 at 32nm and its engine
-areas from C-Pack's synthesis results; this package provides a small
-analytical stand-in so overhead analyses (Table 4 and the design-space
-examples) can be evaluated at arbitrary configurations.
+The paper sources its SRAM numbers from CACTI 5.0 at 32nm; this package
+provides a small analytical stand-in for the access latency of an SRAM
+of arbitrary capacity (the Uncompressed-8x baseline's larger LLC).
 """
 
-from repro.hw.area import CompressionEngineModel, SramModel
+from repro.hw.area import SramModel
 
-__all__ = ["CompressionEngineModel", "SramModel"]
+__all__ = ["SramModel"]

@@ -1,16 +1,8 @@
-"""First-order SRAM and compression-engine area/energy scaling.
+"""First-order SRAM access-latency scaling.
 
-Anchored to the constants the paper cites:
-
-- CACTI 5.0 (32nm): a 16-way 256KB cache is 2.12 mm^2; 64b access to a
-  128KB SRAM costs 4 pJ (Table 1); LLC line access 32 pJ (Table 7).
-- C-Pack synthesis (scaled to 32nm): compressor + decompressor are each
-  0.01 mm^2 with a 64B dictionary; the paper scales LBE's 512B-dictionary
-  engine 8x to 0.08 mm^2.
-
-The models use standard first-order rules: area linear in capacity with
-a fixed periphery overhead; dynamic access energy scaling ~sqrt(capacity)
-(bitline/wordline halves); engine area linear in dictionary bytes.
+Anchored to the paper's Table 5: a 128KB LLC slice has a 14-cycle
+load-to-use latency. Wordline/bitline delay grows with the array's
+linear dimensions, so latency scales ~sqrt(capacity).
 """
 
 from __future__ import annotations
@@ -18,41 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_REFERENCE_SRAM_BYTES = 256 * 1024
-_REFERENCE_SRAM_MM2 = 2.12
-_PERIPHERY_FRACTION = 0.2
-
-_REFERENCE_ACCESS_BYTES = 128 * 1024
-_REFERENCE_LINE_ACCESS_J = 32.0e-12
-
-_REFERENCE_ENGINE_DICT_BYTES = 64
-_REFERENCE_ENGINE_MM2 = 0.01
-
 
 @dataclass(frozen=True)
 class SramModel:
-    """Area and access energy of an SRAM array at 32nm."""
+    """Access latency of an SRAM array at 32nm."""
 
     capacity_bytes: int
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
-
-    @property
-    def area_mm2(self) -> float:
-        """Cell area linear in capacity, plus fixed periphery."""
-        cell = (_REFERENCE_SRAM_MM2 * (1 - _PERIPHERY_FRACTION)
-                * self.capacity_bytes / _REFERENCE_SRAM_BYTES)
-        periphery = _REFERENCE_SRAM_MM2 * _PERIPHERY_FRACTION * math.sqrt(
-            self.capacity_bytes / _REFERENCE_SRAM_BYTES)
-        return cell + periphery
-
-    @property
-    def line_access_j(self) -> float:
-        """64B line access energy, sqrt-scaled from the 128KB anchor."""
-        return _REFERENCE_LINE_ACCESS_J * math.sqrt(
-            self.capacity_bytes / _REFERENCE_ACCESS_BYTES)
 
     def access_latency_cycles(self, reference_cycles: int = 14,
                               reference_bytes: int = 128 * 1024) -> int:
@@ -64,48 +31,3 @@ class SramModel:
         """
         scale = math.sqrt(self.capacity_bytes / reference_bytes)
         return max(1, round(reference_cycles * scale))
-
-    def overhead_area_mm2(self, extra_bits: int) -> float:
-        """Area of ``extra_bits`` of additional storage (tags, LMT)."""
-        extra_bytes = extra_bits / 8
-        return (_REFERENCE_SRAM_MM2 * (1 - _PERIPHERY_FRACTION)
-                * extra_bytes / _REFERENCE_SRAM_BYTES)
-
-
-@dataclass(frozen=True)
-class CompressionEngineModel:
-    """Area of a dictionary-based (de)compression engine."""
-
-    dictionary_bytes: int
-    lanes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.dictionary_bytes <= 0:
-            raise ValueError("dictionary must be positive")
-        if self.lanes < 1:
-            raise ValueError("need at least one lane")
-
-    @property
-    def area_mm2(self) -> float:
-        """Linear in dictionary size (the paper's own scaling rule),
-        replicated per lane."""
-        single = (_REFERENCE_ENGINE_MM2 * self.dictionary_bytes
-                  / _REFERENCE_ENGINE_DICT_BYTES)
-        return single * self.lanes
-
-    def pair_area_mm2(self) -> float:
-        """Compressor + decompressor (the paper quotes the pair)."""
-        return 2 * self.area_mm2
-
-
-def morc_engine_area_mm2(n_active_logs: int = 8,
-                         time_multiplexed: bool = True) -> float:
-    """The paper's §3.3 engine budget: one 512B-dictionary pair, shared
-    across active logs by time-division multiplexing; a naive design
-    replicates the compressor per active log."""
-    pair = CompressionEngineModel(512).pair_area_mm2()
-    if time_multiplexed:
-        return pair
-    compressors = CompressionEngineModel(512).area_mm2 * n_active_logs
-    decompressor = CompressionEngineModel(512).area_mm2
-    return compressors + decompressor

@@ -108,6 +108,3 @@ class BankedMemoryChannel:
     @property
     def total_transfers(self) -> int:
         return int(self.stats.get("reads") + self.stats.get("writes"))
-
-    def bytes_transferred(self, line_size: int = 64) -> int:
-        return self.total_transfers * line_size

@@ -87,7 +87,3 @@ class MemoryChannel:
     def total_transfers(self) -> int:
         """Lines moved in either direction (for bandwidth/energy metrics)."""
         return int(self.stats.get("reads") + self.stats.get("writes"))
-
-    def bytes_transferred(self, line_size: int = 64) -> int:
-        """Total off-chip traffic in bytes."""
-        return self.total_transfers * line_size

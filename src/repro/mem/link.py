@@ -48,10 +48,3 @@ class LinkCompressedChannel(MemoryChannel):
         self.stats.add("compressed_transfers")
         self.stats.add("transfer_fraction_sum", fraction)
         return self.transfer_cycles * fraction
-
-    def mean_transfer_fraction(self) -> float:
-        """Average fraction of a full 64B slot each transfer used."""
-        count = self.stats.get("compressed_transfers")
-        if count == 0:
-            return 1.0
-        return self.stats.get("transfer_fraction_sum") / count

@@ -352,11 +352,15 @@ class MorcCache(LLCInterface):
                                                       self.name)
         elif self.compression_enabled and self._lz is not None:
             compressed = None
-            lz_compressed = self._lz.compress(data, self._lz_history(log),
-                                              commit=True)
+            history = self._lz_history(log)
+            before = bytes(history.data) if self._verify else None
+            lz_compressed = self._lz.compress(data, history, commit=True)
             data_bits = min(lz_compressed.size_bits, UNCOMPRESSED_LINE_BITS)
             token = self._tag_compressor.append(log.tag_stream, line_address)
             tag_bits = token.size_bits
+            if before is not None:
+                res_verify.verify_lz_roundtrip(self._lz, data, before,
+                                               lz_compressed, self.name)
         elif self.compression_enabled:
             snapshot = log.dictionary.copy() if self._verify else None
             compressed = self._compressor.compress(data, log.dictionary,

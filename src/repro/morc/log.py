@@ -120,9 +120,6 @@ class Log:
         """True when every contained line is dead (log reusable sans flush)."""
         return self.valid_count == 0 and bool(self.entries)
 
-    def valid_entries(self) -> List[LogEntry]:
-        return [entry for entry in self.entries if entry.valid]
-
     def reset(self) -> None:
         """Reclaim the log for reuse as a fresh active log."""
         self.entries.clear()

@@ -53,11 +53,11 @@ def worker_profiles(timings: Sequence, wall_s: float
                     ) -> List[WorkerProfile]:
     """Aggregate per-cell timings into per-worker utilization.
 
-    ``timings`` are :class:`repro.perf.timing.CellTiming` records; cells
-    are grouped by the worker pid that executed them.  Utilization is
-    busy time over the engine's wall clock — with a balanced grid every
-    worker approaches 1.0, and a long serial tail shows up as most
-    workers idling far below it.
+    ``timings`` are :class:`repro.experiments.parallel.CellTiming`
+    records; cells are grouped by the worker pid that executed them.
+    Utilization is busy time over the engine's wall clock — with a
+    balanced grid every worker approaches 1.0, and a long serial tail
+    shows up as most workers idling far below it.
     """
     by_pid: Dict[int, List] = {}
     for timing in timings:

@@ -79,27 +79,6 @@ class Reservoir:
         """True while the samples are the complete, ordered history."""
         return self.count <= self.capacity
 
-    @property
-    def samples(self) -> List[float]:
-        return list(self._samples)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile of the (sampled) distribution."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
     def __len__(self) -> int:
         return self.count
 
@@ -108,14 +87,14 @@ class Reservoir:
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(count={self.count}, "
-                f"mean={self.mean:.3f}, capacity={self.capacity})")
+                f"total={self.total:g}, capacity={self.capacity})")
 
 
 class MissSeries(Reservoir):
     """List-compatible reservoir backing ``RunMetrics`` miss streams.
 
     Supports the subset of the list protocol the simulator and its tests
-    rely on — ``append``/``extend``/``len``/iteration/slicing — while
+    rely on — ``append``/``len``/iteration/slicing — while
     bounding memory at ``capacity`` floats.  ``len()`` reports the exact
     number of observations (so ``len(miss_latencies) == l1_misses``
     stays true forever); iteration yields the stored samples.
@@ -136,28 +115,6 @@ class MissSeries(Reservoir):
             self.observe(value)
 
     append = Reservoir.observe
-
-    def extend(self, values: Union["MissSeries", Iterable[float]]) -> None:
-        """Fold in another series (or any iterable of values).
-
-        Merging another :class:`MissSeries` keeps ``count``/``total``
-        exact even when the other side has already overflowed: the
-        unsampled mass is folded in as an aggregate.
-        """
-        if isinstance(values, Reservoir):
-            for value in values._samples:
-                self.observe(value)
-            hidden = values.count - len(values._samples)
-            if hidden > 0:
-                self.count += hidden
-                self.total += values.total - sum(values._samples)
-                if values.min < self.min:
-                    self.min = values.min
-                if values.max > self.max:
-                    self.max = values.max
-            return
-        for value in values:
-            self.observe(value)
 
     def __getitem__(self, index):
         """Slice/index over the stored samples (list compatibility)."""

@@ -140,8 +140,9 @@ def compression_event(algo: str, line: bytes, bits: int) -> None:
 def entropy_class(line: bytes) -> str:
     """Cheap entropy bucket for a cache line (traced, never simulated).
 
-    Byte-diversity is a good-enough proxy for how compressible the four
-    codecs find a line; it keeps the tracer's own cost bounded.
+    Byte-diversity is a good-enough proxy for how compressible LBE and
+    C-Pack, the codecs that emit ``compress`` events, find a line; it
+    keeps the tracer's own cost bounded.
     """
     if not any(line):
         return "zero"

@@ -7,7 +7,8 @@ Enabled by ``REPRO_VERIFY=1``.  Two mechanisms:
   LBE the caller snapshots the log dictionary *before* the committing
   compress (the decode must replay against pre-append state) and the
   check also serialises the symbols to their exact bitstream and parses
-  them back.  Intra-line codecs go through
+  them back.  MORC-LZ's committed line is decoded against the log's
+  pre-append history bytes.  Intra-line codecs go through
   :meth:`~repro.compression.base.IntraLineCompressor.roundtrip`; codecs
   that only model sizes (SC2) are skipped.
 - **Invariant audits** — :func:`audit` walks a cache's structures and
@@ -28,7 +29,6 @@ from typing import List
 
 from repro import settings
 from repro.common.errors import VerificationError
-from repro.common.words import LINE_SIZE
 from repro.obs import trace as obs_trace
 
 
@@ -64,11 +64,7 @@ def verify_lbe_roundtrip(compressor, data: bytes, snapshot,
     violations: List[str] = []
     decoded = compressor._decode_line(compressed, snapshot)
     if decoded != data:
-        diff_at = next((i for i in range(min(len(decoded), len(data)))
-                        if decoded[i] != data[i]), len(decoded))
-        violations.append(
-            f"LBE round-trip mismatch: {len(decoded)} bytes decoded, "
-            f"first diff at byte {diff_at}")
+        violations.append(_mismatch("LBE", decoded, data))
     writer = compressor.to_bitstream(compressed)
     reparsed = compressor.from_bitstream(
         BitReader.from_writer(writer, strict=True))
@@ -77,6 +73,26 @@ def verify_lbe_roundtrip(compressor, data: bytes, snapshot,
                           "symbols")
     if violations:
         _fail(cache, violations, kind="roundtrip")
+
+
+def verify_lz_roundtrip(compressor, data: bytes, history: bytes,
+                        compressed, cache: str) -> None:
+    """Check a committed LZ append decodes back to ``data``.
+
+    ``history`` is the log's uncompressed byte stream copied *before*
+    the committing ``compress`` call, which the line's matches may
+    reach into.
+    """
+    decoded = compressor.decode_line(compressed, history)
+    if decoded != data:
+        _fail(cache, [_mismatch("LZ", decoded, data)], kind="roundtrip")
+
+
+def _mismatch(codec: str, decoded: bytes, data: bytes) -> str:
+    diff_at = next((i for i in range(min(len(decoded), len(data)))
+                    if decoded[i] != data[i]), len(decoded))
+    return (f"{codec} round-trip mismatch: {len(decoded)} bytes decoded, "
+            f"first diff at byte {diff_at}")
 
 
 def verify_intraline_roundtrip(compressor, data: bytes,
@@ -213,10 +229,3 @@ def _audit_skewed(llc) -> List[str]:
                         f"{where}: line 0x{line_address:x} outside "
                         f"superblock {entry.superblock}")
     return violations
-
-
-def verify_line_length(data: bytes, cache: str) -> None:
-    """Cheap insert-time sanity check shared by all verified caches."""
-    if len(data) != LINE_SIZE:
-        _fail(cache, [f"stored line is {len(data)} bytes, expected "
-                      f"{LINE_SIZE}"], kind="roundtrip")

@@ -39,13 +39,6 @@ class RunMetrics:
         return self.instructions / self.cycles if self.cycles else 0.0
 
     @property
-    def mpki(self) -> float:
-        """LLC misses per kilo-instruction."""
-        if not self.instructions:
-            return 0.0
-        return 1000.0 * self.llc_misses / self.instructions
-
-    @property
     def offchip_bytes(self) -> int:
         """Total demand + write-back traffic to memory."""
         return (self.memory_reads + self.memory_writes) * LINE_SIZE
@@ -62,16 +55,3 @@ class RunMetrics:
     def compute_cycles(self) -> float:
         """Cycles net of memory stalls (gap execution under CPI=1)."""
         return self.cycles - series_total(self.miss_latencies)
-
-    def merge(self, other: "RunMetrics") -> None:
-        """Accumulate another thread's counters (multi-program reporting)."""
-        self.instructions += other.instructions
-        self.cycles = max(self.cycles, other.cycles)
-        self.l1_accesses += other.l1_accesses
-        self.l1_misses += other.l1_misses
-        self.llc_hits += other.llc_hits
-        self.llc_misses += other.llc_misses
-        self.memory_reads += other.memory_reads
-        self.memory_writes += other.memory_writes
-        self.miss_latencies.extend(other.miss_latencies)
-        self.miss_gaps.extend(other.miss_gaps)

@@ -10,10 +10,9 @@ This is the main entry point the examples and experiments drive:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cache.base import LLCInterface
-from repro.cache.l1 import L1Cache
 from repro.cache.set_assoc import (
     AdaptiveCache,
     DecoupledCache,

@@ -18,7 +18,7 @@ consecutive accesses, setting memory intensity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.common.words import LINE_SIZE

@@ -15,7 +15,6 @@ as :class:`repro.workloads.trace.SyntheticTrace`.
 from __future__ import annotations
 
 import gzip
-import io
 import struct
 import zlib
 from pathlib import Path
@@ -143,9 +142,6 @@ class FileTrace:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter_trace(self.path)
-
-    def estimated_records(self) -> int:
-        return self.n_records
 
 
 def roundtrip_equal(a: Iterable[TraceRecord],

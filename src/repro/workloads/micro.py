@@ -10,8 +10,6 @@ nothing") and for calibrating codecs.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.workloads.datamodel import AccessProfile, DataProfile
 from repro.workloads.trace import SyntheticTrace
 
@@ -82,10 +80,3 @@ def make_micro_trace(name: str, n_instructions: int = 60_000,
                           access_profile=access,
                           n_instructions=n_instructions,
                           seed=MICRO_SEED + seed_offset)
-
-
-def all_micro_traces(n_instructions: int = 60_000,
-                     ) -> Dict[str, SyntheticTrace]:
-    """Every microbenchmark at the same budget."""
-    return {name: make_micro_trace(name, n_instructions)
-            for name in MICROBENCHMARKS}

@@ -87,8 +87,3 @@ class SyntheticTrace:
             produced += 1 + gap
             yield TraceRecord(address=line * LINE_SIZE, is_write=is_write,
                               gap=gap, data=data)
-
-    def estimated_records(self) -> int:
-        """Rough record count (for progress reporting)."""
-        return int(self.n_instructions
-                   / (1.0 + self.access_profile.mean_gap))

@@ -23,6 +23,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gcc", "ZSTD"])
 
+    @pytest.mark.parametrize("argv", [
+        ["figure6", "-n", "0"],
+        ["report", "-n", "0"],
+        ["run", "gcc", "MORC", "-n", "-5"],
+    ])
+    def test_rejects_nonpositive_instructions(self, argv, capsys):
+        """``-n 0`` used to run the full default budget, and ``-n -5``
+        died with a ValueError traceback; both are usage errors."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "--instructions" in capsys.readouterr().err
+
     def test_every_experiment_has_subcommand(self):
         parser = build_parser()
         for name in EXPERIMENTS:

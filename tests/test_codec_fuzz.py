@@ -1,6 +1,6 @@
 """Fuzz and round-trip property tests for every codec's bit stream.
 
-Two contracts, checked per codec (LBE, C-Pack, FPC, Huffman):
+Two contracts, checked per codec (LBE, C-Pack, Huffman):
 
 - **Exactness**: seeded-random lines round-trip bit-exactly through the
   token layer and through the serialised bit stream.
@@ -20,7 +20,6 @@ from repro.common.bitio import BitReader
 from repro.common.errors import CorruptBitstreamError
 from repro.common.words import LINE_SIZE
 from repro.compression.cpack import CPackCompressor
-from repro.compression.fpc import FpcCompressor
 from repro.compression.huffman import (
     ESCAPE,
     HuffmanCode,
@@ -47,7 +46,7 @@ def make_lines(seed, count=N_LINES):
         elif style == 2:  # one 32-bit word repeated (dictionary-friendly)
             word = rng.getrandbits(32).to_bytes(4, "little")
             line = word * (LINE_SIZE // 4)
-        else:  # small signed integers (FPC-friendly)
+        else:  # small signed integers
             line = b"".join(
                 (rng.randrange(-128, 128) & 0xFFFFFFFF).to_bytes(
                     4, "little")
@@ -126,10 +125,10 @@ class TestLbeFuzz:
                 assert len(decoded) == LINE_SIZE
 
 
-# -- intra-line codecs (C-Pack, FPC) --------------------------------------
+# -- intra-line codecs (C-Pack) -------------------------------------------
 
 
-INTRA_LINE = [CPackCompressor, FpcCompressor]
+INTRA_LINE = [CPackCompressor]
 
 
 @pytest.mark.parametrize("make_codec", INTRA_LINE,

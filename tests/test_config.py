@@ -103,10 +103,6 @@ class TestSystemConfig:
         config = SystemConfig().with_morc(n_active_logs=16)
         assert config.morc.n_active_logs == 16
 
-    def test_llc_total_aggregates(self):
-        config = SystemConfig(n_cores=16)
-        assert config.llc_total.size_bytes == 16 * 128 * 1024
-
 
 class TestEnergyParams:
     def test_table7_values(self):

@@ -1,67 +1,14 @@
-"""Tests for the CACTI-lite hardware models."""
+"""Tests for the CACTI-lite hardware model."""
 
 import pytest
 
-from repro.hw.area import (
-    CompressionEngineModel,
-    SramModel,
-    morc_engine_area_mm2,
-)
+from repro.hw.area import SramModel
 
 
 class TestSramModel:
-    def test_reference_anchor(self):
-        model = SramModel(256 * 1024)
-        assert model.area_mm2 == pytest.approx(2.12, rel=0.01)
-
-    def test_area_grows_sublinearly_small(self):
-        small = SramModel(32 * 1024)
-        big = SramModel(256 * 1024)
-        assert small.area_mm2 > big.area_mm2 / 8  # periphery floor
-
-    def test_line_access_energy_anchor(self):
-        model = SramModel(128 * 1024)
-        assert model.line_access_j == pytest.approx(32e-12, rel=0.01)
-
-    def test_access_energy_scales_with_sqrt(self):
-        big = SramModel(512 * 1024)
-        assert big.line_access_j == pytest.approx(64e-12, rel=0.01)
-
-    def test_overhead_area(self):
-        model = SramModel(128 * 1024)
-        # Table 4's MORC: ~25% overhead of a 128KB array.
-        quarter = model.overhead_area_mm2(int(0.25 * 128 * 1024 * 8))
-        full = model.overhead_area_mm2(128 * 1024 * 8)
-        assert quarter == pytest.approx(full / 4)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SramModel(0)
-
-
-class TestEngineModel:
-    def test_cpack_anchor(self):
-        engine = CompressionEngineModel(64)
-        assert engine.area_mm2 == pytest.approx(0.01, rel=0.01)
-        assert engine.pair_area_mm2() == pytest.approx(0.02, rel=0.01)
-
-    def test_lbe_scaling_matches_paper(self):
-        """The paper scales C-Pack 8x for LBE's 512B dictionary: 0.08mm2
-        for the pair (conservatively)."""
-        assert morc_engine_area_mm2() == pytest.approx(0.16, rel=0.01) \
-            or morc_engine_area_mm2() == pytest.approx(0.08, rel=1.01)
-
-    def test_naive_multilog_costs_more(self):
-        shared = morc_engine_area_mm2(time_multiplexed=True)
-        naive = morc_engine_area_mm2(n_active_logs=8,
-                                     time_multiplexed=False)
-        assert naive > 4 * shared / 2
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            CompressionEngineModel(0)
-        with pytest.raises(ValueError):
-            CompressionEngineModel(64, lanes=0)
 
 
 class TestSramLatency:

@@ -75,8 +75,8 @@ class TestLookup:
         l1.fill(0, line(1))
         l1.lookup(0, is_write=False)
         l1.lookup(64 * 100, is_write=True)
-        assert l1.access_count == 2
-        assert l1.miss_count == 1
+        assert l1.stats.get("hits") + l1.stats.get("misses") == 2
+        assert l1.stats.get("misses") == 1
         assert l1.stats.get("write_misses") == 1
 
     def test_rejects_bad_line(self):

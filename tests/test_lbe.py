@@ -64,11 +64,6 @@ class TestSymbol:
         assert Symbol("m256", index=0).data_bytes == 32
         assert Symbol("u8", value=0).data_bytes == 4
 
-    def test_is_zero(self):
-        assert Symbol("z64").is_zero
-        assert Symbol("u8", value=0).is_zero
-        assert not Symbol("u8", value=3).is_zero
-
 
 class TestCompressBasics:
     def test_zero_line_is_two_z256(self, lbe):

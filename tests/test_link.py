@@ -44,7 +44,9 @@ class TestLinkCompressedChannel:
     def test_mean_fraction_tracked(self):
         link = channel()
         link.read(0.0, 0, bytes(64))
-        assert 0.0 < link.mean_transfer_fraction() <= 1.0
+        stats = link.stats
+        assert stats.get("compressed_transfers") == 1
+        assert 0.0 < stats.get("transfer_fraction_sum") <= 1.0
 
     def test_rejects_bad_floor(self):
         with pytest.raises(ValueError):

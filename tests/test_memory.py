@@ -69,7 +69,6 @@ class TestMemoryChannel:
         channel.read(0.0)
         channel.write(0.0)
         assert channel.total_transfers == 3
-        assert channel.bytes_transferred() == 3 * 64
         assert channel.stats.get("reads") == 2
         assert channel.stats.get("writes") == 1
 

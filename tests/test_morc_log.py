@@ -98,13 +98,6 @@ class TestInvalidate:
             log.invalidate(entry)
         assert log.all_invalid
 
-    def test_valid_entries(self):
-        log = make_log()
-        a = log.append(0, line(0), 10, 1)
-        b = log.append(1, line(1), 10, 1)
-        log.invalidate(a)
-        assert log.valid_entries() == [b]
-
 
 class TestReset:
     def test_reset_clears_everything(self):

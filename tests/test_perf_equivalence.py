@@ -2,7 +2,7 @@
 parallel experiment engine is deterministic.
 
 Every optimised kernel (planned and memoised LBE measure, one-pass LBE
-encoder, prefix lookup tables, chunked BitWriter, C-Pack/FPC memos) must
+encoder, prefix lookup tables, chunked BitWriter, C-Pack memos) must
 produce results identical to the oracles in
 ``repro.conformance.oracles`` — same bit counts, same symbol streams,
 same committed dictionary state.  The corpora cover all data archetypes
@@ -17,20 +17,17 @@ import pytest
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import CompressionError, ConfigError
 from repro.compression.cpack import CPackCompressor
-from repro.compression.fpc import FpcCompressor
 from repro.compression.lbe import LbeCompressor, LbeDictionary
+from repro.conformance.corpus import ARCHETYPES, line_corpus, mixed_stream
 from repro.conformance.oracles import (
     ReferenceBitWriter,
     reference_cpack_bits,
     reference_cpack_tokens,
-    reference_fpc_bits,
-    reference_fpc_tokens,
     reference_lbe_compress,
     reference_lbe_measure,
 )
 from repro import settings
 from repro.experiments import figure6, parallel
-from repro.perf.corpus import ARCHETYPES, line_corpus, mixed_stream
 
 
 # -- LBE ----------------------------------------------------------------
@@ -91,7 +88,7 @@ def test_lbe_roundtrip_through_bitstream():
     assert compressor.decompress(stream) == lines
 
 
-# -- C-Pack / FPC -------------------------------------------------------
+# -- C-Pack -------------------------------------------------------------
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
 def test_cpack_matches_reference(archetype):
@@ -104,20 +101,6 @@ def test_cpack_matches_reference(archetype):
         # memo hit must agree with the first computation
         assert compressor.compress(line).size_bits == \
             reference_cpack_bits(line)
-        writer = compressor.to_bitstream(tokens)
-        assert len(writer) == compressor.compress(line).size_bits
-        assert compressor.from_bitstream(
-            BitReader.from_writer(writer)) == tokens
-
-
-@pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_fpc_matches_reference(archetype):
-    compressor = FpcCompressor()
-    for line in line_corpus(archetype, count=48):
-        tokens = compressor.compress_tokens(line)
-        assert tokens == reference_fpc_tokens(line)
-        assert compressor.compress(line).size_bits == \
-            reference_fpc_bits(line)
         writer = compressor.to_bitstream(tokens)
         assert len(writer) == compressor.compress(line).size_bits
         assert compressor.from_bitstream(

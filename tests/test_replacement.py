@@ -7,7 +7,6 @@ from repro.cache.replacement import (
     FifoPolicy,
     LruPolicy,
     RoundRobinCounter,
-    make_policy,
 )
 
 
@@ -76,16 +75,6 @@ class TestFifo:
         ones just like LRU (consistent policy contract)."""
         with pytest.raises(LookupError, match=r"FifoPolicy.*'ghost'"):
             FifoPolicy("ab").touch("ghost")
-
-
-class TestFactory:
-    def test_names(self):
-        assert isinstance(make_policy("lru"), LruPolicy)
-        assert isinstance(make_policy("fifo"), FifoPolicy)
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            make_policy("plru")
 
 
 class TestRoundRobin:

@@ -65,10 +65,3 @@ class TestBarCharts:
         from repro.experiments.report import bar_chart
         with pytest.raises(ValueError):
             bar_chart("t", ["a"], [1.0, 2.0])
-
-    def test_grouped_bar_chart(self):
-        from repro.experiments.report import grouped_bar_chart
-        chart = grouped_bar_chart("t", ["w1"], {"A": [1.0], "B": [0.5]},
-                                  width=8)
-        assert "w1:" in chart
-        assert chart.count("|") == 4

@@ -316,6 +316,17 @@ class TestEndToEnd:
         assert verified.ipc == baseline.ipc
         assert verified.llc_stats == baseline.llc_stats
 
+    def test_verified_lz_run_bit_identical(self):
+        baseline = run_single_program("gcc", "MORC-LZ",
+                                      n_instructions=5_000)
+        settings.configure(verify="1")
+        verified = run_single_program("gcc", "MORC-LZ",
+                                      n_instructions=5_000)
+        assert verified.llc_stats["compressions"] > 0
+        assert verified.compression_ratio == baseline.compression_ratio
+        assert verified.metrics == baseline.metrics
+        assert verified.llc_stats == baseline.llc_stats
+
     def test_verified_baselines_pass(self):
         settings.configure(verify=True)
         for scheme in ("Adaptive", "Decoupled", "SC2", "Skewed"):
@@ -431,3 +442,22 @@ class TestAuditor:
         cache.compressor = LyingCodec()
         with pytest.raises(VerificationError):
             cache.fill(0, line(9))
+
+    def test_lz_commit_verification_catches_bad_decode(self, monkeypatch):
+        """MORC-LZ commits used to go unchecked under REPRO_VERIFY."""
+        from repro.compression.lz import LzStreamCompressor
+        settings.configure(verify="1")
+        cache = MorcCache(8 * 1024, config=MorcConfig(n_active_logs=2),
+                          algorithm="lz")
+        cache.fill(0, line(1))  # an honest decoder passes
+        decode = LzStreamCompressor.decode_line
+
+        def corrupt_one_byte(self, compressed, history):
+            decoded = bytearray(decode(self, compressed, history))
+            decoded[7] ^= 0x01
+            return bytes(decoded)
+
+        monkeypatch.setattr(LzStreamCompressor, "decode_line",
+                            corrupt_one_byte)
+        with pytest.raises(VerificationError, match="LZ round-trip"):
+            cache.fill(64, line(2))

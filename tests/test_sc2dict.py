@@ -15,14 +15,14 @@ class TestSampling:
         dictionary = Sc2Dictionary(sample_lines=100)
         line = make_line([1] * 16)
         assert dictionary.compress(line).size_bits == 512
-        assert not dictionary.trained
+        assert dictionary.stats.get("trainings") == 0
 
     def test_trains_after_sample_threshold(self):
         dictionary = Sc2Dictionary(sample_lines=10)
         line = make_line([1] * 16)
         for _ in range(10):
             dictionary.observe(line)
-        assert dictionary.trained
+        assert dictionary.stats.get("trainings") == 1
 
     def test_frequent_value_compresses_well(self):
         dictionary = Sc2Dictionary(sample_lines=8)
@@ -46,7 +46,7 @@ class TestSampling:
         for _ in range(64):
             dictionary.observe(make_line(
                 rng.randrange(1 << 30) for _ in range(16)))
-        assert dictionary.trained
+        assert dictionary.stats.get("trainings") == 1
         assert dictionary.stats.get("dictionary_entries") <= 16
 
     def test_retraining(self):

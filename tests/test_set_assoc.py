@@ -146,7 +146,7 @@ class TestSc2:
         cache = Sc2Cache(tiny_geometry())
         for i in range(40):
             cache.fill((i * 64) % (8 * 64), line(7))
-        assert cache.dictionary.trained or \
+        assert cache.dictionary.stats.get("trainings") > 0 or \
             cache.dictionary.stats.get("uncompressed_lines") >= 0
 
     def test_trained_dictionary_compresses(self):

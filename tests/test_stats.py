@@ -33,55 +33,6 @@ class TestStatGroup:
         stats.add("a")
         assert list(stats) == ["a", "b"]
 
-    def test_merge(self):
-        a, b = StatGroup("a"), StatGroup("b")
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
-        a.merge(b)
-        assert a.get("x") == 3
-        assert a.get("y") == 3
-
-    def test_merge_gauge_takes_last_writer(self):
-        """Regression: gauges (written via set()) used to be summed on
-        merge, reporting an occupancy neither group ever saw."""
-        a, b = StatGroup("a"), StatGroup("b")
-        a.set("dictionary_entries", 100)
-        b.set("dictionary_entries", 120)
-        a.merge(b)
-        assert a.get("dictionary_entries") == 120
-        assert a.is_gauge("dictionary_entries")
-
-    def test_merge_gauge_known_only_to_other_side(self):
-        a, b = StatGroup("a"), StatGroup("b")
-        b.set("occupancy", 7)
-        a.merge(b)
-        assert a.get("occupancy") == 7
-        # A later merge must keep last-writer-wins, not start summing.
-        c = StatGroup("c")
-        c.set("occupancy", 3)
-        a.merge(c)
-        assert a.get("occupancy") == 3
-
-    def test_merge_counters_still_sum(self):
-        a, b = StatGroup("a"), StatGroup("b")
-        a.add("hits", 2)
-        b.add("hits", 5)
-        a.merge(b)
-        assert a.get("hits") == 7
-        assert not a.is_gauge("hits")
-
-    def test_reset_clears_gauge_tracking(self):
-        stats = StatGroup("test")
-        stats.set("occupancy", 9)
-        stats.reset()
-        assert not stats.is_gauge("occupancy")
-        stats.add("occupancy", 1)
-        other = StatGroup("o")
-        other.add("occupancy", 2)
-        stats.merge(other)
-        assert stats.get("occupancy") == 3
-
     def test_reset(self):
         stats = StatGroup("test")
         stats.add("x")

@@ -55,7 +55,7 @@ class TestFileTrace:
         path = tmp_path / "gcc.trc"
         write_trace(path, small_trace)
         trace = FileTrace(path)
-        assert trace.estimated_records() == len(small_trace)
+        assert trace.n_records == len(small_trace)
         assert list(trace) == small_trace
         assert list(trace) == small_trace  # restartable
 

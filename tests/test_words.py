@@ -36,15 +36,6 @@ class TestWords32:
         assert words.words32(line)[0] == 0x01020304
 
 
-class TestLeadingZeroBytes:
-    @pytest.mark.parametrize("word,expected", [
-        (0, 4), (1, 3), (0xFF, 3), (0x100, 2), (0xFFFF, 2),
-        (0x10000, 1), (0xFFFFFF, 1), (0x1000000, 0), (0xFFFFFFFF, 0),
-    ])
-    def test_values(self, word, expected):
-        assert words.leading_zero_bytes(word) == expected
-
-
 class TestChunks:
     def test_sizes(self):
         line = bytes(64)
@@ -56,11 +47,6 @@ class TestChunks:
     def test_reassembles(self):
         line = bytes(range(64))
         assert b"".join(words.chunks(line, 16)) == line
-
-
-def test_is_zero():
-    assert words.is_zero(bytes(64))
-    assert not words.is_zero(b"\x00" * 63 + b"\x01")
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1),
