@@ -49,9 +49,8 @@ def main() -> None:
 
     print("\nwrite policy (compression disabled, Figure 12):")
     for inclusive in (True, False):
-        result = run_single_program(benchmark, "MORC", n_instructions=n,
-                                    inclusive_writes=inclusive,
-                                    compression_enabled=False)
+        result = run_single_program(benchmark, "MORC-Raw", n_instructions=n,
+                                    inclusive_writes=inclusive)
         label = "inclusive" if inclusive else "non-inclusive"
         print(f"  {label:34s} invalid lines="
               f"{result.invalid_fraction * 100:5.1f}%")

@@ -38,7 +38,7 @@ from repro.experiments import (
     table1,
     table4,
 )
-from repro.sim.system import ALL_SCHEMES, run_single_program
+from repro.sim.system import ALL_SCHEMES, MORC_VARIANTS, run_single_program
 from repro.sim.throughput import coarse_grain_throughput
 from repro.workloads.mixes import ALL_MULTI_WORKLOADS
 from repro.workloads.spec import ALL_SINGLE_PROGRAMS
@@ -63,8 +63,8 @@ EXPERIMENTS = {
     "variance": variance,
 }
 
-RUNNABLE_SCHEMES = ALL_SCHEMES + ("Skewed", "MORCMerged", "MORC-CPack",
-                                  "MORC-LZ", "Uncompressed8x")
+RUNNABLE_SCHEMES = ALL_SCHEMES + ("Skewed", "Uncompressed8x") + tuple(
+    scheme for scheme in MORC_VARIANTS if scheme not in ALL_SCHEMES)
 
 
 def positive_int(text: str) -> int:

@@ -85,20 +85,18 @@ DEFAULT_LLC = CacheGeometry(size_bytes=128 * 1024, ways=8)
 
 @dataclass(frozen=True)
 class MorcConfig:
-    """MORC-specific parameters (paper §3 and §4 defaults)."""
+    """MORC-specific parameters (paper §3 and §4 defaults); FIFO log
+    replacement, serial tag access and the 2x tag store are fixed."""
 
     log_size_bytes: int = 512
     n_active_logs: int = 8
     lmt_overprovision: int = 8
     lmt_ways: int = 2
-    tag_store_factor: float = 2.0
     tag_bases: int = 2
     merged_tags: bool = False
     fudge_factor: float = 0.05
     inclusive_writes: bool = False
     unlimited_metadata: bool = False
-    log_replacement: str = "fifo"
-    parallel_tag_access: bool = False
 
     def __post_init__(self) -> None:
         _require(self.log_size_bytes >= LINE_SIZE,
@@ -109,8 +107,6 @@ class MorcConfig:
                  "LMT associativity must be a small power of two")
         _require(self.tag_bases in (1, 2), "tag compression supports 1 or 2 bases")
         _require(0.0 <= self.fudge_factor < 1.0, "fudge factor must be in [0,1)")
-        _require(self.log_replacement in ("fifo", "lru"),
-                 "log replacement must be 'fifo' or 'lru'")
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ class SystemConfig:
             f"MORC         {morc.log_size_bytes}B logs x "
             f"{morc.n_active_logs} active, LMT "
             f"{morc.lmt_overprovision}x/{morc.lmt_ways}-way, tag store "
-            f"{morc.tag_store_factor:g}x ({morc.tag_bases} bases), "
+            f"2x ({morc.tag_bases} bases), "
             f"fudge {morc.fudge_factor:.0%}"
             + (", merged tags" if morc.merged_tags else ""),
             f"Decompress   LBE "

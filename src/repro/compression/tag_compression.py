@@ -92,7 +92,7 @@ def decode_distance(code: int, precision_value: int) -> int:
 class TagToken:
     """One encoded tag: either a delta or a new base."""
 
-    kind: str  # "delta" | "new_base"
+    kind: str  # "delta" | "new_base" | "raw" (uncompressed, MORC-Raw)
     base_slot: int
     size_bits: int
     code: int = NEW_BASE_CODE

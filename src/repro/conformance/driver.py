@@ -289,30 +289,16 @@ def _check_set_caches(result: ComponentResult, seeds: Sequence[int],
 def _morc_variants(deep: bool) -> List[Tuple[str, Callable]]:
     capacity = 8 * 1024
 
-    def make_lbe():
-        config = MorcConfig()
-        return (MorcCache(capacity, config),
-                ref.RefMorcCache(capacity, config, algorithm="lbe"))
+    def make(algorithm: str, config: MorcConfig = MorcConfig()):
+        return lambda: (
+            MorcCache(capacity, config, algorithm=algorithm),
+            ref.RefMorcCache(capacity, config, algorithm=algorithm))
 
-    def make_cpack():
-        config = MorcConfig()
-        return (MorcCache(capacity, config, algorithm="cpack"),
-                ref.RefMorcCache(capacity, config, algorithm="cpack"))
-
-    def make_raw():
-        config = MorcConfig()
-        return (MorcCache(capacity, config, compression_enabled=False),
-                ref.RefMorcCache(capacity, config, algorithm=None))
-
-    def make_merged():
-        config = MorcConfig(merged_tags=True)
-        return (MorcCache(capacity, config),
-                ref.RefMorcCache(capacity, config, algorithm="lbe"))
-
-    variants = [("morc-lbe", make_lbe), ("morc-cpack", make_cpack),
-                ("morc-raw", make_raw)]
+    variants = [(f"morc-{algorithm}", make(algorithm))
+                for algorithm in ("lbe", "cpack", "raw", "lz")]
     if deep:
-        variants.append(("morc-merged", make_merged))
+        variants.append(("morc-merged",
+                         make("lbe", MorcConfig(merged_tags=True))))
     return variants
 
 

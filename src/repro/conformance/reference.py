@@ -7,10 +7,11 @@ a reference against the paper's prose is a one-to-one check.  The
 differential driver (:mod:`repro.conformance.driver`) then proves the
 optimised production implementations agree with these step for step.
 
-References deliberately share the *codecs* (C-Pack, LBE, tag compression)
-with production: codec round-trips are proven separately by the fuzz and
-perf-equivalence suites, and what conformance must pin down is the cache,
-log, table and channel *bookkeeping* built on top of the codec sizes.
+References deliberately share the *codecs* (C-Pack, LBE, LZ, tag
+compression) with production: codec round-trips are proven separately by
+the fuzz and perf-equivalence suites, and what conformance must pin down
+is the cache, log, table and channel *bookkeeping* built on top of the
+codec sizes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.common.config import MemoryConfig, MorcConfig
 from repro.common.words import LINE_SIZE
 from repro.compression.cpack import CPackCompressor
 from repro.compression.lbe import LbeCompressor, LbeDictionary
+from repro.compression.lz import LzHistory, LzStreamCompressor
 from repro.compression.tag_compression import (
     FULL_TAG_BITS,
     TagCompressor,
@@ -414,8 +416,8 @@ class _RefLog:
         self.tag_bases = tag_bases
         self.entries: List[_RefLogEntry] = []
         self.closed = False
-        self.last_use = 0
         self.dictionary = LbeDictionary()
+        self.lz_history = LzHistory()
         self.tag_stream = TagStream(n_bases=tag_bases)
 
     # O(n) recomputations — the "literal" occupancy model.
@@ -458,6 +460,7 @@ class _RefLog:
         self.entries = []
         self.closed = False
         self.dictionary = LbeDictionary()
+        self.lz_history = LzHistory()
         self.tag_stream = TagStream(n_bases=self.tag_bases)
 
 
@@ -494,16 +497,18 @@ class RefMorcCache:
     Re-derives the whole MORC bookkeeping from the paper's operation
     descriptions with brute-force structures: list-scanned LMT sets,
     summation-recomputed log occupancy, linear-scan victim and
-    reuse-candidate selection.  Shares the LBE/C-Pack/tag codecs with
+    reuse-candidate selection.  Shares the LBE/C-Pack/LZ/tag codecs with
     production (their round-trips are proven elsewhere); ``algorithm``
-    may be ``"lbe"``, ``"cpack"`` or ``None`` (compression disabled).
+    may be ``"lbe"``, ``"cpack"``, ``"lz"`` or ``"raw"`` (lines and
+    tags stored uncompressed).  Logs are replaced FIFO, a hit reads tags
+    then data, and the tag store is twice an uncompressed log's tags.
     """
 
     def __init__(self, capacity_bytes: int, config: MorcConfig,
                  base_latency_cycles: int = 14,
                  decompress_bytes_per_cycle: int = 16,
                  tag_decode_tags_per_cycle: int = 8,
-                 algorithm: Optional[str] = "lbe") -> None:
+                 algorithm: str = "lbe") -> None:
         self.config = config
         self.capacity_bytes = capacity_bytes
         self.base_latency_cycles = base_latency_cycles
@@ -516,8 +521,7 @@ class RefMorcCache:
         if config.merged_tags or config.unlimited_metadata:
             tag_capacity = None
         else:
-            tag_capacity = int(config.tag_store_factor * lines_per_log
-                               * FULL_TAG_BITS)
+            tag_capacity = 2 * lines_per_log * FULL_TAG_BITS
         self.logs = [_RefLog(i, config.log_size_bytes * 8, tag_capacity,
                              config.merged_tags, config.tag_bases)
                      for i in range(n_logs)]
@@ -530,10 +534,10 @@ class RefMorcCache:
         self.closed_fifo: List[int] = []
         self.active: List[int] = [self.free_pool.pop(0)
                                   for _ in range(config.n_active_logs)]
-        self._clock = 0       # cache clock (log recency)
         self._lmt_clock = 0   # LMT clock (way recency)
         self._lbe = LbeCompressor()
-        self._cpack = CPackCompressor() if algorithm == "cpack" else None
+        self._cpack = CPackCompressor()
+        self._lz = LzStreamCompressor()
         self._tags = TagCompressor(n_bases=config.tag_bases)
         self.counters: Dict[str, float] = {}
 
@@ -598,8 +602,6 @@ class RefMorcCache:
                                / self.tag_decode_tags_per_cycle)
         data_cycles = math.ceil(output_bytes
                                 / self.decompress_bytes_per_cycle)
-        if self.config.parallel_tag_access:
-            return self.base_latency_cycles + max(tag_cycles, data_cycles)
         return self.base_latency_cycles + tag_cycles + data_cycles
 
     def read(self, address: int) -> Tuple[bool, float, Optional[bytes]]:
@@ -614,8 +616,6 @@ class RefMorcCache:
             return False, latency, None
         log = self.logs[lmt_entry.log_index]
         entry = lmt_entry.entry
-        self._clock += 1
-        log.last_use = self._clock
         self._count("read_hits")
         self._count("decompressed_lines", log.position_of(entry) + 1)
         return True, self._hit_latency(log, entry), entry.data
@@ -682,16 +682,20 @@ class RefMorcCache:
     # -- placement -------------------------------------------------------------
 
     def _trial_data_bits(self, log: _RefLog, data: bytes) -> int:
-        if self.algorithm is None:
+        if self.algorithm == "raw":
             return UNCOMPRESSED_LINE_BITS
-        if self._cpack is not None:
+        if self.algorithm == "cpack":
             return min(self._cpack.compress(data).size_bits,
+                       UNCOMPRESSED_LINE_BITS)
+        if self.algorithm == "lz":
+            return min(self._lz.compress(data, log.lz_history,
+                                         commit=False).size_bits,
                        UNCOMPRESSED_LINE_BITS)
         return min(self._lbe.measure(data, log.dictionary),
                    UNCOMPRESSED_LINE_BITS)
 
     def _trial_tag_bits(self, log: _RefLog, line_address: int) -> int:
-        if self.algorithm is None:
+        if self.algorithm == "raw":
             return UNCOMPRESSED_TAG_BITS
         return self._tags.measure(log.tag_stream, line_address)
 
@@ -728,18 +732,20 @@ class RefMorcCache:
 
     def _commit_append(self, log: _RefLog, line_address: int,
                        data: bytes) -> _RefLogEntry:
-        if self.algorithm is None:
+        if self.algorithm == "raw":
             data_bits = UNCOMPRESSED_LINE_BITS
-            tag_bits = UNCOMPRESSED_TAG_BITS
-        elif self._cpack is not None:
-            data_bits = min(self._cpack.compress(data).size_bits,
-                            UNCOMPRESSED_LINE_BITS)
-            tag_bits = self._tags.append(log.tag_stream,
-                                         line_address).size_bits
+        elif self.algorithm == "cpack":
+            data_bits = self._cpack.compress(data).size_bits
+        elif self.algorithm == "lz":
+            data_bits = self._lz.compress(data, log.lz_history,
+                                          commit=True).size_bits
         else:
-            compressed = self._lbe.compress(data, log.dictionary,
-                                            commit=True)
-            data_bits = min(compressed.size_bits, UNCOMPRESSED_LINE_BITS)
+            data_bits = self._lbe.compress(data, log.dictionary,
+                                           commit=True).size_bits
+        data_bits = min(data_bits, UNCOMPRESSED_LINE_BITS)
+        if self.algorithm == "raw":
+            tag_bits = UNCOMPRESSED_TAG_BITS
+        else:
             tag_bits = self._tags.append(log.tag_stream,
                                          line_address).size_bits
         if not log.fits(data_bits, tag_bits) and not log.entries:
@@ -759,8 +765,6 @@ class RefMorcCache:
                    key=lambda i: self.logs[self.active[i]].free_data_bits())
         retiring = self.logs[self.active[slot]]
         retiring.closed = True
-        self._clock += 1
-        retiring.last_use = self._clock
         self.closed_fifo.append(retiring.index)
         self._count("log_closures")
         fresh = self._acquire_fresh_log(writebacks)
@@ -778,13 +782,7 @@ class RefMorcCache:
                 return log
         if self.free_pool:
             return self.logs[self.free_pool.pop(0)]
-        if self.config.log_replacement == "lru":
-            victim_index = min(self.closed_fifo,
-                               key=lambda i: self.logs[i].last_use)
-            self.closed_fifo.remove(victim_index)
-            victim = self.logs[victim_index]
-        else:
-            victim = self.logs[self.closed_fifo.pop(0)]
+        victim = self.logs[self.closed_fifo.pop(0)]
         self._flush_log(victim, writebacks)
         victim.reset()
         return victim

@@ -40,11 +40,10 @@ def run(benchmarks: Optional[Sequence[str]] = None,
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
     if n_instructions is None:
         n_instructions = scale_instructions(DEFAULT_INSTRUCTIONS)
-    specs = [RunSpec(benchmark, "MORC", config=config,
+    specs = [RunSpec(benchmark, "MORC-Raw", config=config,
                      n_instructions=instructions_for(benchmark,
                                                      n_instructions),
                      inclusive_writes=inclusive,
-                     compression_enabled=False,
                      label=f"{benchmark}/inclusive={inclusive}")
              for benchmark in benchmarks
              for inclusive in (True, False)]

@@ -103,7 +103,6 @@ class RunSpec:
     n_instructions: int = 120_000
     warmup_fraction: float = 0.4
     inclusive_writes: Optional[bool] = None
-    compression_enabled: bool = True
     seed_offset: int = 0
     #: one of :data:`MEMORY_CHANNELS`, or ``None`` for the default
     memory: Optional[str] = None
@@ -194,7 +193,6 @@ def _execute_single(spec: RunSpec) -> Tuple[Any, float, int]:
         n_instructions=spec.n_instructions,
         warmup_fraction=spec.warmup_fraction,
         inclusive_writes=spec.inclusive_writes,
-        compression_enabled=spec.compression_enabled,
         memory=_make_memory(spec.memory, config),
         seed_offset=spec.seed_offset)
     return result, time.perf_counter() - started, os.getpid()

@@ -16,8 +16,9 @@ Operations (paper §3.1):
   decompressing it start-to-end.  Closed logs whose lines are all dead are
   reused without any flush (priority over the FIFO victim).
 
-``compression_enabled=False`` stores lines and tags raw — used by the
-paper's Figure 12 study of write-back-induced invalidation.
+The data algorithm is one codec (:mod:`repro.morc.codecs`).  As in the
+evaluated design, logs are replaced FIFO, a hit reads tags then data,
+and the tag store holds twice an uncompressed log's tags.
 """
 
 from __future__ import annotations
@@ -31,14 +32,8 @@ from repro.common.errors import CacheError, PoisonedLineError
 from repro.common.stats import StatGroup
 from repro.common.words import LINE_SIZE, check_line
 from repro.cache.base import FillResult, LLCInterface, ReadResult
-from repro.compression.cpack import CPackCompressor
-from repro.compression.lbe import LbeCompressor
-from repro.compression.lz import LzHistory, LzStreamCompressor
-from repro.compression.tag_compression import (
-    FULL_TAG_BITS,
-    TagCompressor,
-    VALID_BITS,
-)
+from repro.compression.tag_compression import FULL_TAG_BITS
+from repro.morc.codecs import RAW, make_codecs
 from repro.morc.lmt import LineMapTable, LmtEntry, LmtState
 from repro.morc.log import Log, LogEntry
 from repro.morc.policies import PlacementCandidate, choose_log
@@ -46,9 +41,6 @@ from repro.obs import trace as obs_trace
 from repro import settings
 from repro.resilience import verify as res_verify
 from repro.resilience.faults import make_injector
-
-UNCOMPRESSED_LINE_BITS = LINE_SIZE * 8
-UNCOMPRESSED_TAG_BITS = FULL_TAG_BITS + VALID_BITS
 
 
 class MorcCache(LLCInterface):
@@ -59,14 +51,9 @@ class MorcCache(LLCInterface):
                  base_latency_cycles: int = 14,
                  decompress_bytes_per_cycle: int = 16,
                  tag_decode_tags_per_cycle: int = 8,
-                 compression_enabled: bool = True,
                  algorithm: str = "lbe") -> None:
-        """``algorithm`` selects the data compressor: ``"lbe"`` (default,
-        the paper's inter-line stream codec), ``"cpack"`` (per-line
-        C-Pack inside the same log organisation — the ablation the paper
-        motivates LBE against in §3.2.5), or ``"lz"`` (greedy LZ77 over
-        the log stream — the software reference the paper's §6 reports
-        compresses similarly to LBE)."""
+        """``algorithm`` selects the data codec: ``"lbe"`` (default),
+        ``"cpack"``, ``"lz"`` or ``"raw"`` (see :mod:`repro.morc.codecs`)."""
         self.config = config or MorcConfig()
         cfg = self.config
         if capacity_bytes % cfg.log_size_bytes:
@@ -75,22 +62,32 @@ class MorcCache(LLCInterface):
         self.base_latency_cycles = base_latency_cycles
         self.decompress_bytes_per_cycle = decompress_bytes_per_cycle
         self.tag_decode_tags_per_cycle = tag_decode_tags_per_cycle
-        self.compression_enabled = compression_enabled
         self.name = "MORCMerged" if cfg.merged_tags else "MORC"
 
         n_logs = capacity_bytes // cfg.log_size_bytes
         if n_logs < cfg.n_active_logs:
             raise CacheError(
                 f"{n_logs} logs cannot sustain {cfg.n_active_logs} active")
+        # Resilience hooks (repro/resilience): injector is None and
+        # _verify False on a clean run, so every hook is one attribute
+        # load plus a branch.
+        self._injector = make_injector()
+        self._raw_fallback: set = set()
+        self._verify = res_verify.verification_enabled()
+        self.algorithm = algorithm
+        self._codec, self._tag_compressor = make_codecs(
+            algorithm, cfg.tag_bases, self._verify)
         lines_per_log = cfg.log_size_bytes // LINE_SIZE
         if cfg.merged_tags or cfg.unlimited_metadata:
             tag_capacity = None
         else:
-            tag_capacity = int(cfg.tag_store_factor * lines_per_log
-                               * FULL_TAG_BITS)
+            # §4: the tag store holds twice an uncompressed log's tags.
+            tag_capacity = 2 * lines_per_log * FULL_TAG_BITS
         self.logs: List[Log] = [
             Log(index=i, data_capacity_bits=cfg.log_size_bytes * 8,
-                tag_capacity_bits=tag_capacity, merged=cfg.merged_tags)
+                tag_capacity_bits=tag_capacity, merged=cfg.merged_tags,
+                codec_state=self._codec.new_state(),
+                tag_stream=self._tag_compressor.new_stream())
             for i in range(n_logs)
         ]
         capacity_lines = capacity_bytes // LINE_SIZE
@@ -98,28 +95,11 @@ class MorcCache(LLCInterface):
             n_entries=capacity_lines * cfg.lmt_overprovision,
             ways=cfg.lmt_ways, unlimited=cfg.unlimited_metadata)
 
-        if algorithm not in ("lbe", "cpack", "lz"):
-            raise CacheError(f"unknown MORC data algorithm {algorithm!r}")
-        self.algorithm = algorithm
-        self._compressor = LbeCompressor()
-        self._cpack = CPackCompressor() if algorithm == "cpack" else None
-        self._lz = LzStreamCompressor() if algorithm == "lz" else None
-        self._tag_compressor = TagCompressor(n_bases=cfg.tag_bases)
-        for log in self.logs:
-            log.tag_stream = self._tag_compressor.new_stream()
-
         self._free_pool: Deque[int] = deque(range(n_logs))
         self._closed_fifo: Deque[int] = deque()
-        self._clock = 0
         self._active: List[int] = [self._free_pool.popleft()
                                    for _ in range(cfg.n_active_logs)]
         self.stats = StatGroup(self.name)
-        # Resilience hooks (repro/resilience): injector is None and
-        # _verify False on a clean run, so every hook is one attribute
-        # load plus a branch.
-        self._injector = make_injector()
-        self._raw_fallback: set = set()
-        self._verify = res_verify.verification_enabled()
         #: distribution of decompressed output bytes per hit (Figure 14)
         self.latency_bytes_histogram: Counter = Counter()
         #: LBE symbol usage weighted by represented bytes (Figure 7):
@@ -134,10 +114,7 @@ class MorcCache(LLCInterface):
         tag_cycles = math.ceil((entry.position + 1)
                                / self.tag_decode_tags_per_cycle)
         data_cycles = math.ceil(output_bytes / self.decompress_bytes_per_cycle)
-        if self.config.parallel_tag_access:
-            # §3.2.4: tags and data may be accessed in parallel (more
-            # energy); the evaluated design reads them serially.
-            return self.base_latency_cycles + max(tag_cycles, data_cycles)
+        # §3.2.4: the evaluated design reads tags, then data.
         return self.base_latency_cycles + tag_cycles + data_cycles
 
     # -- LLCInterface -----------------------------------------------------------
@@ -155,9 +132,13 @@ class MorcCache(LLCInterface):
             return ReadResult(False, latency, aliased_miss=aliased)
         log_entry: LogEntry = lmt_entry.entry_ref
         if log_entry.poison_bit is not None:
-            return self._recover(lmt_entry, log_entry, during="read")
-        self._clock += 1
-        self.logs[log_entry.log_index].last_use = self._clock
+            # The decoder runs (and fails) over the log prefix, so the
+            # detection pays the full hit decompression latency and work;
+            # the recovery then reports a miss, which routes the refetch
+            # through the memory controller's ordinary accounting.
+            self.stats.add("decompressed_lines", log_entry.position + 1)
+            self._recover(lmt_entry, log_entry, during="read")
+            return ReadResult(False, self._hit_latency(log_entry))
         self.stats.add("read_hits")
         self.stats.add("decompressed_lines", log_entry.position + 1)
         self.latency_bytes_histogram[log_entry.output_bytes_through] += 1
@@ -166,42 +147,36 @@ class MorcCache(LLCInterface):
 
     # -- soft-error detection and recovery -----------------------------------
 
-    def _recover(self, lmt_entry: LmtEntry, log_entry: LogEntry,
-                 during: str) -> ReadResult:
-        """A poisoned entry was touched: detect, recover per policy.
+    def _recover(self, lmt_entry: LmtEntry, entry: LogEntry,
+                 during: str) -> None:
+        """A read or a log flush decoded a poisoned entry: recover per
+        policy, dropping the line from the cache.
 
-        The decoder runs (and fails) over the log prefix, so the
-        detection pays the full hit decompression latency and work; the
-        recovery then reports a miss, which routes the refetch through
-        the memory controller's ordinary latency/energy accounting.
+        A dirty poisoned line cannot be written back, so its write is
+        lost; a clean one is refetched from memory on its next miss.
         """
         policy = settings.current().soft_error_policy
-        latency = self._hit_latency(log_entry)
         self.stats.add("soft_errors_detected")
-        self.stats.add("decompressed_lines", log_entry.position + 1)
-        dirty = lmt_entry.is_modified
         if policy == "failstop":
-            raise PoisonedLineError(
-                self.name, log_entry.line_address,
-                f"log {log_entry.log_index} entry {log_entry.position}",
-                bit=log_entry.poison_bit)
+            where = f"log {entry.log_index} entry {entry.position}"
+            if during == "flush":
+                where += " (during flush)"
+            raise PoisonedLineError(self.name, entry.line_address, where,
+                                    bit=entry.poison_bit)
         if policy == "raw":
-            self._raw_fallback.add(log_entry.line_address)
+            self._raw_fallback.add(entry.line_address)
             self.stats.add("raw_fallbacks")
-        self.logs[log_entry.log_index].invalidate(log_entry)
-        self.lmt.release(lmt_entry)
+        dirty = lmt_entry.is_modified
         self.stats.add("soft_error_recoveries")
         if dirty:
-            # The only copy was dirty: the modelled refetch restores the
-            # stale memory image, i.e. the write is lost.
             self.stats.add("soft_error_data_loss")
         channel = obs_trace.RESILIENCE
         if channel is not None:
             channel.emit("recovery", cache=self.name,
-                         line=log_entry.line_address, policy=policy,
-                         during=during, dirty=dirty,
-                         bit=log_entry.poison_bit)
-        return ReadResult(False, latency)
+                         line=entry.line_address, policy=policy,
+                         during=during, dirty=dirty, bit=entry.poison_bit)
+        self.lmt.release(lmt_entry)
+        self.logs[entry.log_index].invalidate(entry)
 
     def fill(self, address: int, data: bytes) -> FillResult:
         self.stats.add("fills")
@@ -291,92 +266,30 @@ class MorcCache(LLCInterface):
 
     def _trial_all(self, line_address: int,
                    data: bytes) -> List[PlacementCandidate]:
-        raw = bool(self._raw_fallback) and line_address in self._raw_fallback
+        # A soft-error raw-fallback line is stored uncompressed.
+        codec = RAW if line_address in self._raw_fallback else self._codec
+        trial = codec.trial
+        measure_tag = self._tag_compressor.measure
         candidates: List[PlacementCandidate] = []
         for index in self._active:
             log = self.logs[index]
-            data_bits = (UNCOMPRESSED_LINE_BITS if raw
-                         else self._trial_data_bits(log, data))
-            tag_bits = self._trial_tag_bits(log, line_address)
-            candidates.append(PlacementCandidate(log, data_bits, tag_bits))
+            candidates.append(PlacementCandidate(
+                log, trial(log.codec_state, data),
+                measure_tag(log.tag_stream, line_address)))
         self.stats.add("trial_compressions", len(candidates))
         return candidates
 
-    def _trial_data_bits(self, log: Log, data: bytes) -> int:
-        if not self.compression_enabled:
-            return UNCOMPRESSED_LINE_BITS
-        if self._cpack is not None:
-            # Intra-line codec: size is log-independent.
-            return min(self._cpack.compress(data).size_bits,
-                       UNCOMPRESSED_LINE_BITS)
-        if self._lz is not None:
-            compressed = self._lz.compress(data, self._lz_history(log),
-                                           commit=False)
-            return min(compressed.size_bits, UNCOMPRESSED_LINE_BITS)
-        # A real design stores the raw line when compression expands it.
-        return min(self._compressor.measure(data, log.dictionary),
-                   UNCOMPRESSED_LINE_BITS)
-
-    @staticmethod
-    def _lz_history(log: Log) -> LzHistory:
-        if log.lz_history is None:
-            log.lz_history = LzHistory()
-        return log.lz_history
-
-    def _trial_tag_bits(self, log: Log, line_address: int) -> int:
-        if not self.compression_enabled:
-            return UNCOMPRESSED_TAG_BITS
-        return self._tag_compressor.measure(log.tag_stream, line_address)
-
     def _commit_append(self, log: Log, line_address: int,
                        data: bytes) -> LogEntry:
-        raw = bool(self._raw_fallback) and line_address in self._raw_fallback
-        if raw and self.compression_enabled:
-            # raw recovery policy: this line's data is stored
-            # uncompressed (and is assumed ECC-protected, so it is not
-            # an injection target); its tag still joins the compressed
-            # tag stream, which the decoder does not need to recover
-            # the data payload.
-            compressed = None
-            data_bits = UNCOMPRESSED_LINE_BITS
-            token = self._tag_compressor.append(log.tag_stream, line_address)
-            tag_bits = token.size_bits
-        elif self.compression_enabled and self._cpack is not None:
-            compressed = None
-            data_bits = min(self._cpack.compress(data).size_bits,
-                            UNCOMPRESSED_LINE_BITS)
-            token = self._tag_compressor.append(log.tag_stream, line_address)
-            tag_bits = token.size_bits
-            if self._verify:
-                res_verify.verify_intraline_roundtrip(self._cpack, data,
-                                                      self.name)
-        elif self.compression_enabled and self._lz is not None:
-            compressed = None
-            history = self._lz_history(log)
-            before = bytes(history.data) if self._verify else None
-            lz_compressed = self._lz.compress(data, history, commit=True)
-            data_bits = min(lz_compressed.size_bits, UNCOMPRESSED_LINE_BITS)
-            token = self._tag_compressor.append(log.tag_stream, line_address)
-            tag_bits = token.size_bits
-            if before is not None:
-                res_verify.verify_lz_roundtrip(self._lz, data, before,
-                                               lz_compressed, self.name)
-        elif self.compression_enabled:
-            snapshot = log.dictionary.copy() if self._verify else None
-            compressed = self._compressor.compress(data, log.dictionary,
-                                                   commit=True)
-            data_bits = min(compressed.size_bits, UNCOMPRESSED_LINE_BITS)
-            token = self._tag_compressor.append(log.tag_stream, line_address)
-            tag_bits = token.size_bits
+        codec = RAW if line_address in self._raw_fallback else self._codec
+        data_bits, compressed = codec.commit(log.codec_state, data,
+                                             self.name)
+        # A raw-fallback line's tag still joins the compressed tag
+        # stream, which the decoder does not need to recover its data.
+        tag_bits = self._tag_compressor.append(log.tag_stream,
+                                               line_address).size_bits
+        if compressed is not None:
             self._account_symbols(compressed)
-            if snapshot is not None:
-                res_verify.verify_lbe_roundtrip(
-                    self._compressor, data, snapshot, compressed,
-                    self.name)
-        else:
-            compressed = None
-            data_bits = UNCOMPRESSED_LINE_BITS
-            tag_bits = UNCOMPRESSED_TAG_BITS
         if not log.fits(data_bits, tag_bits) and not log.entries:
             # A tiny log (Figure 13a's 64B point) cannot even hold one raw
             # line plus its tag; clamp so the entry consumes the whole log.
@@ -390,8 +303,8 @@ class MorcCache(LLCInterface):
                          bits=data_bits, tag_bits=tag_bits)
         entry = log.append(line_address, data, data_bits, tag_bits,
                            compressed=compressed)
-        if (self._injector is not None and self.compression_enabled
-                and not raw):
+        # Raw lines are assumed ECC-protected: never injection targets.
+        if self._injector is not None and codec is not RAW:
             flip = self._injector.flip_for(data_bits)
             if flip is not None:
                 entry.poison_bit = flip
@@ -426,8 +339,6 @@ class MorcCache(LLCInterface):
                    key=lambda i: self.logs[self._active[i]].free_data_bits)
         retiring = self.logs[self._active[slot]]
         retiring.closed = True
-        self._clock += 1
-        retiring.last_use = self._clock  # closure counts as a use
         self._closed_fifo.append(retiring.index)
         self.stats.add("log_closures")
         channel = obs_trace.LLC
@@ -446,26 +357,23 @@ class MorcCache(LLCInterface):
             log = self.logs[index]
             if log.all_invalid:
                 self._closed_fifo.remove(index)
-                log.reset()
+                self._reset_log(log)
                 self.stats.add("log_reuses")
                 return log
         # Priority 2: a never-used log.
         if self._free_pool:
             return self.logs[self._free_pool.popleft()]
-        # Priority 3: a victim among closed logs, flushed.  The paper
-        # studies FIFO; LRU is the configurable alternative (§3.2.1).
+        # Priority 3: the oldest closed log, flushed (FIFO, §3.2.1).
         if not self._closed_fifo:
             raise CacheError("no closed log available to evict")
-        if self.config.log_replacement == "lru":
-            victim_index = min(self._closed_fifo,
-                               key=lambda i: self.logs[i].last_use)
-            self._closed_fifo.remove(victim_index)
-            victim = self.logs[victim_index]
-        else:
-            victim = self.logs[self._closed_fifo.popleft()]
+        victim = self.logs[self._closed_fifo.popleft()]
         self._flush_log(victim, result)
-        victim.reset()
+        self._reset_log(victim)
         return victim
+
+    def _reset_log(self, log: Log) -> None:
+        log.reset(codec_state=self._codec.new_state(),
+                  tag_stream=self._tag_compressor.new_stream())
 
     def _flush_log(self, log: Log, result: FillResult) -> None:
         """Whole-log eviction: decompress everything, write back dirty lines."""
@@ -479,7 +387,7 @@ class MorcCache(LLCInterface):
             if lmt_entry is None or lmt_entry.entry_ref is not entry:
                 raise CacheError("log entry lost its LMT back-pointer")
             if entry.poison_bit is not None:
-                self._recover_at_flush(lmt_entry, entry)
+                self._recover(lmt_entry, entry, during="flush")
                 continue
             if channel is not None:
                 channel.emit("evict", cache=self.name, reason="log_flush",
@@ -490,33 +398,3 @@ class MorcCache(LLCInterface):
                 self.stats.add("flush_writebacks")
             self.lmt.release(lmt_entry)
             log.invalidate(entry)
-
-    def _recover_at_flush(self, lmt_entry: LmtEntry,
-                          entry: LogEntry) -> None:
-        """Flush hit a poisoned entry: the decode fails mid-log.
-
-        A dirty poisoned line cannot be written back — the write is
-        lost; a clean one is simply dropped (memory still holds it).
-        """
-        policy = settings.current().soft_error_policy
-        self.stats.add("soft_errors_detected")
-        if policy == "failstop":
-            raise PoisonedLineError(
-                self.name, entry.line_address,
-                f"log {entry.log_index} entry {entry.position} "
-                f"(during flush)", bit=entry.poison_bit)
-        if policy == "raw":
-            self._raw_fallback.add(entry.line_address)
-            self.stats.add("raw_fallbacks")
-        dirty = lmt_entry.is_modified
-        self.stats.add("soft_error_recoveries")
-        if dirty:
-            self.stats.add("soft_error_data_loss")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("recovery", cache=self.name,
-                         line=entry.line_address, policy=policy,
-                         during="flush", dirty=dirty,
-                         bit=entry.poison_bit)
-        self.lmt.release(lmt_entry)
-        self.logs[entry.log_index].invalidate(entry)

@@ -1,0 +1,140 @@
+"""MORC's data codecs behind one interface (paper §3.2.5, §6).
+
+``MorcCache(algorithm=...)`` picks the codec for a log's data: ``"lbe"``
+(the evaluated design), ``"cpack"`` (per-line C-Pack in the same logs,
+§3.2.5's ablation), ``"lz"`` (LZ77 over the log stream, §6's software
+reference) or ``"raw"`` (lines and tags uncompressed, Figure 12).  Each
+codec has ``new_state()``, a fresh log's state; ``trial(state, data)``,
+the bits ``data`` would take in that log, leaving ``state`` unchanged;
+and ``commit(state, data, cache)``, which appends ``data`` and returns
+its bits with LBE's symbol stream (``None`` for the others), checking
+the round trip under ``REPRO_VERIFY``.  Sizes are clamped to a raw line:
+a real design stores the raw line when compression expands it.
+"""
+
+from __future__ import annotations
+
+from repro.common.errors import CacheError
+from repro.common.words import LINE_SIZE
+from repro.compression.cpack import CPackCompressor
+from repro.compression.lbe import LbeCompressor, LbeDictionary
+from repro.compression.lz import LzHistory, LzStreamCompressor
+from repro.compression.tag_compression import (
+    FULL_TAG_BITS,
+    TagCompressor,
+    TagToken,
+    VALID_BITS,
+)
+from repro.resilience import verify as res_verify
+
+UNCOMPRESSED_LINE_BITS = LINE_SIZE * 8
+UNCOMPRESSED_TAG_BITS = FULL_TAG_BITS + VALID_BITS
+
+
+class RawCodec:
+    """Stores lines uncompressed; also the soft-error raw fallback."""
+
+    def new_state(self) -> None:
+        return None
+
+    def trial(self, state, data: bytes) -> int:
+        return UNCOMPRESSED_LINE_BITS
+
+    def commit(self, state, data: bytes, cache: str):
+        return UNCOMPRESSED_LINE_BITS, None
+
+
+RAW = RawCodec()
+
+
+class LbeCodec:
+    """LBE against the log's dictionary."""
+
+    def __init__(self, verify: bool) -> None:
+        self.compressor = LbeCompressor()
+        self._verify = verify
+
+    def new_state(self) -> LbeDictionary:
+        return LbeDictionary()
+
+    def trial(self, state: LbeDictionary, data: bytes) -> int:
+        return min(self.compressor.measure(data, state),
+                   UNCOMPRESSED_LINE_BITS)
+
+    def commit(self, state: LbeDictionary, data: bytes, cache: str):
+        snapshot = state.copy() if self._verify else None
+        compressed = self.compressor.compress(data, state, commit=True)
+        if snapshot is not None:
+            res_verify.verify_lbe_roundtrip(self.compressor, data, snapshot,
+                                            compressed, cache)
+        return min(compressed.size_bits, UNCOMPRESSED_LINE_BITS), compressed
+
+
+class CPackCodec:
+    """Per-line C-Pack: the size does not depend on the log."""
+
+    def __init__(self, verify: bool) -> None:
+        self.compressor = CPackCompressor()
+        self._verify = verify
+
+    def new_state(self) -> None:
+        return None
+
+    def trial(self, state, data: bytes) -> int:
+        return min(self.compressor.compress(data).size_bits,
+                   UNCOMPRESSED_LINE_BITS)
+
+    def commit(self, state, data: bytes, cache: str):
+        bits = self.trial(state, data)
+        if self._verify:
+            res_verify.verify_intraline_roundtrip(self.compressor, data,
+                                                  cache)
+        return bits, None
+
+
+class LzCodec:
+    """Greedy LZ77 against the log's uncompressed byte history."""
+
+    def __init__(self, verify: bool) -> None:
+        self.compressor = LzStreamCompressor()
+        self._verify = verify
+
+    def new_state(self) -> LzHistory:
+        return LzHistory()
+
+    def trial(self, state: LzHistory, data: bytes) -> int:
+        return min(self.compressor.compress(data, state,
+                                            commit=False).size_bits,
+                   UNCOMPRESSED_LINE_BITS)
+
+    def commit(self, state: LzHistory, data: bytes, cache: str):
+        before = bytes(state.data) if self._verify else None
+        compressed = self.compressor.compress(data, state, commit=True)
+        if before is not None:
+            res_verify.verify_lz_roundtrip(self.compressor, data, before,
+                                           compressed, cache)
+        return min(compressed.size_bits, UNCOMPRESSED_LINE_BITS), None
+
+
+class RawTags:
+    """Uncompressed tags: the full line address plus a valid bit."""
+
+    def new_stream(self) -> None:
+        return None
+
+    def measure(self, stream, line_address: int) -> int:
+        return UNCOMPRESSED_TAG_BITS
+
+    def append(self, stream, line_address: int) -> TagToken:
+        return TagToken("raw", 0, UNCOMPRESSED_TAG_BITS,
+                        line_address=line_address)
+
+
+def make_codecs(algorithm: str, tag_bases: int, verify: bool):
+    """The ``(data codec, tag codec)`` pair for one MORC ``algorithm``."""
+    if algorithm == "raw":
+        return RAW, RawTags()
+    codecs = {"lbe": LbeCodec, "cpack": CPackCodec, "lz": LzCodec}
+    if algorithm not in codecs:
+        raise CacheError(f"unknown MORC data algorithm {algorithm!r}")
+    return codecs[algorithm](verify), TagCompressor(n_bases=tag_bases)

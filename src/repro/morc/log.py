@@ -7,8 +7,9 @@ region (default, sized by the 2x tag-store factor) or sharing the data
 region and growing from the right (MORCMerged, §3.2.6).
 
 Because decompression must replay a log from its start, each log carries
-its own LBE dictionary and tag-compression stream; both reset when the log
-is reclaimed.
+its own data codec state (:mod:`repro.morc.codecs`) and tag-compression
+stream.  The cache supplies fresh ones when it builds the log and each
+time it reclaims it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, Optional
 
 from repro.common.errors import CacheError
 from repro.common.words import LINE_SIZE
-from repro.compression.lbe import CompressedLine, LbeDictionary
+from repro.compression.lbe import CompressedLine
 from repro.compression.tag_compression import TagStream
 
 
@@ -59,10 +60,10 @@ class Log:
     valid_count: int = 0
     closed: bool = False
     generation: int = 0
-    last_use: int = 0  # for LRU victim selection (paper studies FIFO)
-    dictionary: LbeDictionary = field(default_factory=LbeDictionary)
-    tag_stream: TagStream = field(default_factory=TagStream)
-    lz_history: Optional[object] = None  # LzHistory when MORC runs LZ
+    #: the data codec's per-log state (LBE dictionary, LZ history, None)
+    codec_state: object = None
+    #: the tag codec's per-log stream (None for uncompressed tags)
+    tag_stream: Optional[TagStream] = None
 
     @property
     def n_entries(self) -> int:
@@ -120,17 +121,18 @@ class Log:
         """True when every contained line is dead (log reusable sans flush)."""
         return self.valid_count == 0 and bool(self.entries)
 
-    def reset(self) -> None:
-        """Reclaim the log for reuse as a fresh active log."""
+    def reset(self, codec_state: object,
+              tag_stream: Optional[TagStream]) -> None:
+        """Reclaim the log for reuse as a fresh active log, starting the
+        given fresh codec state and tag stream."""
         self.entries.clear()
         self.data_bits_used = 0
         self.tag_bits_used = 0
         self.valid_count = 0
         self.closed = False
         self.generation += 1
-        self.dictionary = LbeDictionary()
-        self.tag_stream = TagStream(n_bases=self.tag_stream.n_bases)
-        self.lz_history = None
+        self.codec_state = codec_state
+        self.tag_stream = tag_stream
 
     @property
     def utilization(self) -> float:

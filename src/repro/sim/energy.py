@@ -33,6 +33,7 @@ ENGINE_ENERGY = {
     "MORC": ("lbe_compress_j", "lbe_decompress_j"),
     "MORCMerged": ("lbe_compress_j", "lbe_decompress_j"),
     "MORC-CPack": ("cpack_compress_j", "cpack_decompress_j"),
+    "MORC-Raw": (0.0, 0.0),
     # Hardware LZ engines are costlier than LBE; reuse SC2's figures as
     # the closest published proxy for a table-driven decoder.
     "MORC-LZ": ("sc2_compress_j", "sc2_decompress_j"),

@@ -33,11 +33,13 @@ from repro.workloads.spec import make_trace
 
 ALL_SCHEMES = ("Uncompressed", "Adaptive", "Decoupled", "SC2", "MORC")
 COMPRESSED_SCHEMES = ("Adaptive", "Decoupled", "SC2", "MORC")
+#: MORC scheme name -> its data algorithm (:mod:`repro.morc.codecs`)
+MORC_VARIANTS = {"MORC": "lbe", "MORCMerged": "lbe", "MORC-CPack": "cpack",
+                 "MORC-LZ": "lz", "MORC-Raw": "raw"}
 
 
 def make_llc(scheme: str, config: Optional[SystemConfig] = None,
-             capacity_bytes: Optional[int] = None,
-             compression_enabled: bool = True) -> LLCInterface:
+             capacity_bytes: Optional[int] = None) -> LLCInterface:
     """Instantiate an LLC model by scheme name.
 
     ``capacity_bytes`` defaults to the per-core LLC size times core count
@@ -80,18 +82,16 @@ def make_llc(scheme: str, config: Optional[SystemConfig] = None,
         return SkewedCompressedCache(geometry(capacity_bytes),
                                      base_latency_cycles=base,
                                      decompression_cycles=decomp)
-    if scheme in ("MORC", "MORCMerged", "MORC-CPack", "MORC-LZ"):
+    if scheme in MORC_VARIANTS:
         morc_config = config.morc
         if scheme == "MORCMerged" and not morc_config.merged_tags:
             morc_config = config.with_morc(merged_tags=True).morc
-        algorithm = {"MORC-CPack": "cpack", "MORC-LZ": "lz"}.get(
-            scheme, "lbe")
         llc = MorcCache(
             capacity_bytes, config=morc_config, base_latency_cycles=base,
             decompress_bytes_per_cycle=config.morc_decompression_bytes_per_cycle,
             tag_decode_tags_per_cycle=config.tag_decode_tags_per_cycle,
-            compression_enabled=compression_enabled, algorithm=algorithm)
-        if scheme in ("MORC-CPack", "MORC-LZ"):
+            algorithm=MORC_VARIANTS[scheme])
+        if scheme not in ("MORC", "MORCMerged"):
             llc.name = scheme
         return llc
     raise ConfigError(f"unknown scheme {scheme!r}")
@@ -129,7 +129,6 @@ def run_single_program(benchmark: str, scheme: str,
                        n_instructions: int = 200_000,
                        warmup_fraction: float = 0.4,
                        inclusive_writes: Optional[bool] = None,
-                       compression_enabled: bool = True,
                        llc: Optional[LLCInterface] = None,
                        memory: Optional[MemoryChannel] = None,
                        seed_offset: int = 0,
@@ -152,8 +151,7 @@ def run_single_program(benchmark: str, scheme: str,
         if run_channel is not None:
             run_channel.emit("run_start", n_instructions=n_instructions)
     try:
-        llc = llc or make_llc(scheme, config,
-                              compression_enabled=compression_enabled)
+        llc = llc or make_llc(scheme, config)
         memory = memory or MemoryChannel(config.memory)
         core = CoreSimulator(llc, memory, config,
                              inclusive_writes=inclusive_writes)

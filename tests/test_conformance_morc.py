@@ -3,7 +3,8 @@
 The reference recomputes every log occupancy by summation and finds
 every victim by linear scan, so agreement here pins the production
 cache's incremental bookkeeping (``data_bits_used``, ``valid_count``,
-FIFO/closed-log state, LMT pointers) to the paper's definitions.
+FIFO/closed-log state, LMT pointers) to the paper's definitions, for
+every data algorithm (``run_check``'s ``morc-lbe/cpack/raw/lz``).
 """
 
 import pytest
@@ -31,9 +32,8 @@ def test_morc_conforms(seed):
     assert report.passed, report.render()
 
 
-def _replay_variant(config, seed, n_ops=220, **morc_kwargs):
-    algorithm = morc_kwargs.pop("ref_algorithm", "lbe")
-    prod = MorcCache(8 * 1024, config, **morc_kwargs)
+def _replay_variant(config, seed, n_ops=220, algorithm="lbe"):
+    prod = MorcCache(8 * 1024, config, algorithm=algorithm)
     gold = RefMorcCache(8 * 1024, config, algorithm=algorithm)
     result = ComponentResult(component="morc-variant")
     recorder = _Recorder(result, "narrow-int", seed)
@@ -49,14 +49,8 @@ def test_merged_tags_variant_conforms(seed):
     _replay_variant(MorcConfig(merged_tags=True), seed)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_lru_log_replacement_conforms(seed):
-    _replay_variant(MorcConfig(log_replacement="lru"), seed)
-
-
 def test_uncompressed_morc_conforms():
-    prod, gold = _replay_variant(MorcConfig(), 0, ref_algorithm=None,
-                                 compression_enabled=False)
+    prod, gold = _replay_variant(MorcConfig(), 0, algorithm="raw")
     # Raw entries consume full lines, so a 512B log holds 8 entries max.
     for log in gold.logs:
         assert len(log.entries) <= 8

@@ -19,7 +19,8 @@ from repro.conformance.oracles import (
     reference_lbe_measure,
 )
 from repro.mem.controller import MemoryChannel
-from repro.morc.cache import UNCOMPRESSED_LINE_BITS, MorcCache
+from repro.morc.cache import MorcCache
+from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
 from repro.sim.core import CoreSimulator
 from repro.workloads.spec import make_trace
 
@@ -36,24 +37,24 @@ class OracleCheckedMorc(MorcCache):
 
     def _trial_all(self, line_address, data):
         logs = [self.logs[index] for index in self._active]
-        expected = [reference_lbe_measure(data, log.dictionary)
+        expected = [reference_lbe_measure(data, log.codec_state)
                     for log in logs]
         candidates = super()._trial_all(line_address, data)
         assert [candidate.data_bits for candidate in candidates] == [
             min(bits, UNCOMPRESSED_LINE_BITS) for bits in expected]
         # Unclamped sizes: answered from the memo the trial just filled.
-        assert [self._compressor.measure(data, log.dictionary)
+        assert [self._codec.compressor.measure(data, log.codec_state)
                 for log in logs] == expected
         self.trials += len(logs)
         return candidates
 
     def _commit_append(self, log, line_address, data):
-        oracle_dictionary = log.dictionary.copy()
+        oracle_dictionary = log.codec_state.copy()
         expected = reference_lbe_compress(data, oracle_dictionary)
         entry = super()._commit_append(log, line_address, data)
         assert entry.compressed.symbols == expected.symbols
-        assert log.dictionary._maps == oracle_dictionary._maps
-        assert log.dictionary._values == oracle_dictionary._values
+        assert log.codec_state._maps == oracle_dictionary._maps
+        assert log.codec_state._values == oracle_dictionary._values
         self.commits += 1
         return entry
 

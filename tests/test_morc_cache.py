@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.config import MorcConfig
 from repro.common.errors import CacheError
+from repro.compression.lbe import LbeCompressor, LbeDictionary
 from repro.morc.cache import MorcCache
 
 
@@ -135,6 +136,20 @@ class TestLogLifecycle:
         # Flushed lines must be true misses now.
         assert not cache.contains(0)
 
+    def test_recycled_logs_get_fresh_codec_state_and_tag_bases(self):
+        cache = small_cache(n_active_logs=1, tag_bases=1)
+        for i in range(400):
+            cache.fill(i * 64, random_line(i % 50))
+        recycled = [log for log in cache.logs if log.generation > 0]
+        assert recycled
+        for log in recycled:
+            assert log.tag_stream.n_bases == 1
+            # The dictionary holds only what this generation appended.
+            replay = LbeDictionary()
+            for entry in log.entries:
+                LbeCompressor().compress(entry.data, replay)
+            assert log.codec_state._values == replay._values
+
     def test_capacity_never_exceeded(self):
         cache = small_cache()
         for i in range(500):
@@ -191,7 +206,7 @@ class TestLmtIntegration:
 class TestCompressionDisabled:
     def test_uncompressed_lines_cost_full_size(self):
         cache = MorcCache(8 * 1024, config=MorcConfig(n_active_logs=2),
-                          compression_enabled=False)
+                          algorithm="raw")
         for i in range(200):
             cache.fill(i * 64, bytes(64))
         # 512B logs hold at most 8 raw lines minus tag space.
@@ -201,7 +216,7 @@ class TestCompressionDisabled:
 
     def test_invalid_fraction_tracks_writebacks(self):
         cache = MorcCache(8 * 1024, config=MorcConfig(n_active_logs=2),
-                          compression_enabled=False)
+                          algorithm="raw")
         for i in range(8):
             cache.fill(i * 64, line(i))
         for i in range(8):
@@ -237,47 +252,6 @@ class TestMerged:
             merged.fill(i * 64, data)
         assert merged.compression_ratio() == pytest.approx(
             split.compression_ratio(), rel=0.5)
-
-
-class TestConfigurableOptions:
-    def test_parallel_tag_access_is_faster(self):
-        serial = small_cache()
-        parallel = MorcCache(8 * 1024, config=MorcConfig(
-            n_active_logs=2, parallel_tag_access=True))
-        for i in range(6):
-            serial.fill(i * 64, line(i))
-            parallel.fill(i * 64, line(i))
-        assert (parallel.read(5 * 64).latency_cycles
-                < serial.read(5 * 64).latency_cycles)
-
-    def test_lru_log_replacement_protects_hot_logs(self):
-        """Under LRU, a recently-read log survives victim selection."""
-        for replacement in ("fifo", "lru"):
-            cache = MorcCache(4 * 1024, config=MorcConfig(
-                n_active_logs=1, log_size_bytes=512,
-                log_replacement=replacement))
-            # Fill enough incompressible lines to recycle logs, touching
-            # the first-filled lines continuously.
-            rng = random.Random(0)
-            hot = 0
-            for i in range(400):
-                cache.fill((i + 1) * 64, random_line(i))
-                if cache.contains(hot * 64):
-                    cache.read(hot * 64)
-            assert cache.stats.get("log_flushes") > 0
-
-    def test_lru_and_fifo_both_run_clean(self):
-        for replacement in ("fifo", "lru"):
-            cache = MorcCache(4 * 1024, config=MorcConfig(
-                n_active_logs=2, log_size_bytes=256,
-                log_replacement=replacement))
-            for i in range(300):
-                cache.fill(i * 64, random_line(i))
-            assert cache.compression_ratio() >= 0
-
-    def test_invalid_replacement_rejected(self):
-        with pytest.raises(Exception):
-            MorcConfig(log_replacement="random")
 
 
 class TestDataIntegrity:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import CacheError
+from repro.compression.lbe import LbeDictionary
+from repro.compression.tag_compression import TagStream
 from repro.morc.log import Log
 
 
@@ -103,22 +105,18 @@ class TestReset:
     def test_reset_clears_everything(self):
         log = make_log()
         log.append(0, line(0), 10, 1)
-        log.dictionary.insert(b"\x01\x02\x03\x04")
         log.closed = True
         generation = log.generation
-        log.reset()
+        codec_state, tag_stream = LbeDictionary(), TagStream(n_bases=1)
+        log.reset(codec_state=codec_state, tag_stream=tag_stream)
         assert log.n_entries == 0
         assert log.data_bits_used == 0
         assert log.tag_bits_used == 0
+        assert log.valid_count == 0
         assert not log.closed
         assert log.generation == generation + 1
-        assert log.dictionary.entry_count(4) == 0
-
-    def test_reset_preserves_tag_bases_config(self):
-        log = make_log()
-        log.tag_stream.n_bases = 2
-        log.reset()
-        assert log.tag_stream.n_bases == 2
+        assert log.codec_state is codec_state
+        assert log.tag_stream is tag_stream
 
 
 class TestUtilization:

@@ -20,7 +20,11 @@ from repro.common.errors import (
     PoisonedLineError,
     VerificationError,
 )
-from repro.morc.cache import UNCOMPRESSED_LINE_BITS, MorcCache
+from repro.compression.cpack import CPackCompressor
+from repro.compression.lbe import LbeCompressor
+from repro.compression.lz import LzStreamCompressor
+from repro.morc.cache import MorcCache
+from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
 from repro.resilience import verify as res_verify
 from repro.resilience.faults import SoftErrorInjector, make_injector
 from repro.sim.system import run_single_program
@@ -316,12 +320,11 @@ class TestEndToEnd:
         assert verified.ipc == baseline.ipc
         assert verified.llc_stats == baseline.llc_stats
 
-    def test_verified_lz_run_bit_identical(self):
-        baseline = run_single_program("gcc", "MORC-LZ",
-                                      n_instructions=5_000)
+    @pytest.mark.parametrize("scheme", ["MORC", "MORC-CPack", "MORC-LZ"])
+    def test_verified_codec_run_bit_identical(self, scheme):
+        baseline = run_single_program("gcc", scheme, n_instructions=5_000)
         settings.configure(verify="1")
-        verified = run_single_program("gcc", "MORC-LZ",
-                                      n_instructions=5_000)
+        verified = run_single_program("gcc", scheme, n_instructions=5_000)
         assert verified.llc_stats["compressions"] > 0
         assert verified.compression_ratio == baseline.compression_ratio
         assert verified.metrics == baseline.metrics
@@ -443,21 +446,25 @@ class TestAuditor:
         with pytest.raises(VerificationError):
             cache.fill(0, line(9))
 
-    def test_lz_commit_verification_catches_bad_decode(self, monkeypatch):
-        """MORC-LZ commits used to go unchecked under REPRO_VERIFY."""
-        from repro.compression.lz import LzStreamCompressor
+    @pytest.mark.parametrize("algorithm, codec, decoder, message", [
+        ("lbe", LbeCompressor, "_decode_line", "LBE round-trip"),
+        ("cpack", CPackCompressor, "decompress_tokens", "cpack round-trip"),
+        ("lz", LzStreamCompressor, "decode_line", "LZ round-trip"),
+    ], ids=["lbe", "cpack", "lz"])
+    def test_commit_verification_catches_bad_decode(
+            self, monkeypatch, algorithm, codec, decoder, message):
+        """Every MORC codec's commit is decoded back under REPRO_VERIFY."""
         settings.configure(verify="1")
         cache = MorcCache(8 * 1024, config=MorcConfig(n_active_logs=2),
-                          algorithm="lz")
+                          algorithm=algorithm)
         cache.fill(0, line(1))  # an honest decoder passes
-        decode = LzStreamCompressor.decode_line
+        decode = getattr(codec, decoder)
 
-        def corrupt_one_byte(self, compressed, history):
-            decoded = bytearray(decode(self, compressed, history))
+        def corrupt_one_byte(self, *args):
+            decoded = bytearray(decode(self, *args))
             decoded[7] ^= 0x01
             return bytes(decoded)
 
-        monkeypatch.setattr(LzStreamCompressor, "decode_line",
-                            corrupt_one_byte)
-        with pytest.raises(VerificationError, match="LZ round-trip"):
+        monkeypatch.setattr(codec, decoder, corrupt_one_byte)
+        with pytest.raises(VerificationError, match=message):
             cache.fill(64, line(2))

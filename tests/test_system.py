@@ -13,6 +13,7 @@ from repro.common.errors import ConfigError
 from repro.morc.cache import MorcCache
 from repro.sim.system import (
     ALL_SCHEMES,
+    MORC_VARIANTS,
     make_llc,
     run_multi_program,
     run_single_program,
@@ -96,9 +97,12 @@ class TestSingleProgram:
         assert not result.symbol_counters
 
     def test_compression_disabled(self):
-        result = run_single_program("gcc", "MORC", n_instructions=SMALL,
-                                    compression_enabled=False)
+        result = run_single_program("gcc", "MORC-Raw", n_instructions=SMALL)
         assert result.compression_ratio <= 1.0
+        assert result.llc_stats["compressions"] > 0
+        # No codec runs, so no codec energy is charged.
+        assert result.energy.compression_j == 0
+        assert result.energy.decompression_j == 0
 
 
 class TestMultiProgram:
@@ -148,10 +152,15 @@ class TestExtraSchemes:
         assert result.compression_ratio > 0
         assert result.energy.total_j > 0
 
-    def test_morc_lz_energy_model(self):
+    def test_every_runnable_scheme_builds_with_an_energy_model(self):
+        from repro.cli import RUNNABLE_SCHEMES
         from repro.sim.energy import ENGINE_ENERGY
-        assert "MORC-LZ" in ENGINE_ENERGY
-        assert "Skewed" in ENGINE_ENERGY
+        assert set(MORC_VARIANTS) <= set(RUNNABLE_SCHEMES)
+        for scheme in RUNNABLE_SCHEMES:
+            llc = make_llc(scheme, SystemConfig())
+            assert scheme in ENGINE_ENERGY, scheme
+            if scheme in MORC_VARIANTS:
+                assert llc.algorithm == MORC_VARIANTS[scheme]
 
     def test_seed_offset_changes_runs(self):
         a = run_single_program("gcc", "MORC", n_instructions=SMALL,
