@@ -75,6 +75,14 @@ class DataProfile:
             raise ValueError("need at least one data family")
         if self.family_region_lines < 1:
             raise ValueError("family regions must hold at least one line")
+        for name in ("pool256_size", "pool128_size", "pool64_size",
+                     "pool32_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+        if self.phase_instructions < 0:
+            raise ValueError("phase_instructions cannot be negative, got "
+                             f"{self.phase_instructions}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,9 @@ class AccessProfile:
     def __post_init__(self) -> None:
         if self.working_set_lines < 1:
             raise ValueError("working set must hold at least one line")
+        if self.hot_set_lines < 1:
+            raise ValueError("hot_set_lines must be at least 1, got "
+                             f"{self.hot_set_lines}")
         for name in ("p_sequential", "p_hot", "write_fraction"):
             _validate_probability(name, getattr(self, name))
         if self.mean_gap < 0:

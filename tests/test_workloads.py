@@ -45,6 +45,33 @@ class TestDataProfile:
         with pytest.raises(ValueError):
             DataProfile(n_families=0)
 
+    @pytest.mark.parametrize("field", ["pool256_size", "pool128_size",
+                                       "pool64_size", "pool32_size"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_rejects_empty_pool(self, field, size):
+        # An empty pool used to construct, then fail mid-trace with a
+        # bare IndexError from the first draw out of it.
+        with pytest.raises(ValueError, match=field):
+            DataProfile(**{field: size})
+
+    def test_rejects_negative_phase_length(self):
+        with pytest.raises(ValueError, match="phase_instructions"):
+            DataProfile(phase_instructions=-1)
+
+
+class TestAccessProfile:
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_rejects_empty_hot_set(self, size):
+        # An empty hot set used to construct, then fail at the first
+        # access with a bare IndexError.
+        with pytest.raises(ValueError, match="hot_set_lines"):
+            AccessProfile(hot_set_lines=size)
+
+    def test_one_line_hot_set_generates(self):
+        trace = SyntheticTrace("t", DataProfile(),
+                               AccessProfile(hot_set_lines=1), 2_000)
+        assert sum(1 + r.gap for r in trace.generate()) >= 2_000
+
 
 class TestLineDataModel:
     def test_deterministic(self):
