@@ -39,11 +39,15 @@ class L1Cache:
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        self._sets = [_L1Set() for _ in range(geometry.n_sets)]
+        # Kept off ``geometry`` so every access indexes without
+        # re-deriving the set count through its properties.
+        self._line_size = geometry.line_size
+        self._n_sets = geometry.n_sets
+        self._sets = [_L1Set() for _ in range(self._n_sets)]
         self.stats = StatGroup("L1")
 
     def _set_for(self, address: int) -> _L1Set:
-        return self._sets[self.geometry.set_index(address)]
+        return self._sets[(address // self._line_size) % self._n_sets]
 
     def lookup(self, address: int, is_write: bool,
                data: Optional[bytes] = None) -> bool:
@@ -53,7 +57,7 @@ class L1Cache:
         call :meth:`fill`.
         """
         cache_set = self._set_for(address)
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         line = cache_set.lines.get(line_address)
         if line is None:
             self.stats.add("misses")
@@ -74,7 +78,7 @@ class L1Cache:
              dirty: bool = False) -> Optional[Victim]:
         """Insert a fetched line; returns the evicted victim, if any."""
         cache_set = self._set_for(address)
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         victim: Optional[Victim] = None
         if (line_address not in cache_set.lines
                 and len(cache_set.lines) >= self.geometry.ways):
@@ -84,7 +88,7 @@ class L1Cache:
             self.stats.add("evictions")
             if victim_line.dirty:
                 self.stats.add("dirty_evictions")
-            victim = (victim_key * self.geometry.line_size,
+            victim = (victim_key * self._line_size,
                       victim_line.data, victim_line.dirty)
         cache_set.lines[line_address] = _L1Line(check_line(data), dirty)
         cache_set.lru.insert(line_address)
@@ -92,11 +96,11 @@ class L1Cache:
 
     def contains(self, address: int) -> bool:
         """True if the line is resident (test/debug hook)."""
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         return line_address in self._set_for(address).lines
 
     def line_data(self, address: int) -> Optional[bytes]:
         """Current contents of a resident line (test/debug hook)."""
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         line = self._set_for(address).lines.get(line_address)
         return None if line is None else line.data

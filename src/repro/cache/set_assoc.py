@@ -83,7 +83,11 @@ class SetAssociativeCache(LLCInterface):
         self.base_latency_cycles = base_latency_cycles
         if name:
             self.name = name
-        self._sets = [_Set() for _ in range(geometry.n_sets)]
+        # Kept off ``geometry`` so every access indexes without
+        # re-deriving the set count through its properties.
+        self._line_size = geometry.line_size
+        self._n_sets = geometry.n_sets
+        self._sets = [_Set() for _ in range(self._n_sets)]
         self.stats = StatGroup(self.name)
         # Resilience hooks (repro/resilience): inert on a clean run.
         self._injector = make_injector()
@@ -94,22 +98,22 @@ class SetAssociativeCache(LLCInterface):
     # -- helpers ------------------------------------------------------------
 
     def _set_for(self, address: int) -> _Set:
-        return self._sets[self.geometry.set_index(address)]
+        return self._sets[(address // self._line_size) % self._n_sets]
 
     def _line_segments(self, data: bytes) -> int:
         if self.compressor is None:
-            return self.geometry.line_size // SEGMENT_BYTES
+            return self._full_segments
         size = self.compressor.compress(data)
         self.stats.add("compressions")
         self.stats.add("compressed_bits", size.size_bits)
         return min(size.segments(SEGMENT_BYTES),
-                   self.geometry.line_size // SEGMENT_BYTES)
+                   self._full_segments)
 
     # -- LLCInterface ---------------------------------------------------------
 
     def read(self, address: int) -> ReadResult:
         cache_set = self._set_for(address)
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         line = cache_set.lines.get(line_address)
         if line is None:
             self.stats.add("read_misses")
@@ -133,7 +137,7 @@ class SetAssociativeCache(LLCInterface):
         self.stats.add("writebacks_in")
         data = check_line(data)
         cache_set = self._set_for(address)
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         line = cache_set.lines.get(line_address)
         if line is None:
             return self._insert(address, data, dirty=True)
@@ -161,7 +165,7 @@ class SetAssociativeCache(LLCInterface):
         return result
 
     def contains(self, address: int) -> bool:
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         return line_address in self._set_for(address).lines
 
     def compression_ratio(self) -> float:
@@ -183,7 +187,7 @@ class SetAssociativeCache(LLCInterface):
         if policy == "failstop":
             raise PoisonedLineError(
                 self.name, line.address,
-                f"set {self.geometry.set_index(line.address * self.geometry.line_size)}",
+                f"set {line.address % self._n_sets}",
                 bit=line.poison_bit)
         if policy == "raw":
             self._raw_fallback.add(line.address)
@@ -224,7 +228,7 @@ class SetAssociativeCache(LLCInterface):
 
     def _insert(self, address: int, data: bytes, dirty: bool) -> FillResult:
         cache_set = self._set_for(address)
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         existing = cache_set.lines.pop(line_address, None)
         if existing is not None:
             # Refilling a resident line: release its old footprint first.
@@ -309,7 +313,7 @@ class SetAssociativeCache(LLCInterface):
                 self.stats.add("decompressions")
                 self.stats.add("decompressed_lines")
             result.writebacks.append(
-                (line_address * self.geometry.line_size, line.data))
+                (line_address * self._line_size, line.data))
 
 
 class UncompressedCache(SetAssociativeCache):
@@ -357,8 +361,7 @@ class AdaptiveCache(SetAssociativeCache):
         depth = list(cache_set.lru._order).index(line_address)
         stack_position = len(cache_set.lines) - depth  # 1 = MRU
         line = cache_set.lines[line_address]
-        compressed = line.segments < (self.geometry.line_size
-                                      // SEGMENT_BYTES)
+        compressed = line.segments < self._full_segments
         if stack_position > self.geometry.ways:
             # Only resident because compression stretched the set.
             self._predictor = min(self.COUNTER_MAX, self._predictor
@@ -375,7 +378,7 @@ class AdaptiveCache(SetAssociativeCache):
 
     def read(self, address: int) -> ReadResult:
         cache_set = self._set_for(address)
-        line_address = address // self.geometry.line_size
+        line_address = address // self._line_size
         if line_address in cache_set.lines:
             self._classify_hit(cache_set, line_address)
         return super().read(address)
@@ -383,7 +386,7 @@ class AdaptiveCache(SetAssociativeCache):
     def _line_segments(self, data: bytes) -> int:
         if not self.compression_predicted_beneficial:
             self.stats.add("uncompressed_fills")
-            return self.geometry.line_size // SEGMENT_BYTES
+            return self._full_segments
         return super()._line_segments(data)
 
 

@@ -9,6 +9,7 @@ words without copying more than necessary.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Sequence
 
 LINE_SIZE = 64
@@ -22,6 +23,9 @@ GRANULARITIES = (4, 8, 16, 32)
 
 ZERO_LINE = bytes(LINE_SIZE)
 """A cache line of all zero bytes."""
+
+_LINE_WORDS = struct.Struct(f">{LINE_SIZE // WORD_BYTES}I")
+"""A full line as sixteen big-endian 32-bit words, unpacked in one call."""
 
 
 def check_line(data: bytes) -> bytes:
@@ -40,7 +44,14 @@ def chunks(data: bytes, size: int) -> Iterator[bytes]:
 
 
 def words32(data: bytes) -> list[int]:
-    """Return the line as sixteen big-endian 32-bit unsigned integers."""
+    """Return ``data`` as big-endian 32-bit unsigned integers.
+
+    A full line is sixteen words, unpacked by one precompiled ``struct``
+    call; any other length is sliced word by word (a trailing partial
+    word is read as a shorter big-endian integer).
+    """
+    if len(data) == LINE_SIZE:
+        return list(_LINE_WORDS.unpack(data))
     return [int.from_bytes(data[i:i + 4], "big") for i in range(0, len(data), 4)]
 
 

@@ -20,9 +20,14 @@ FIFO-replaced; the paper notes the fixed 4-bit pointer per 32-bit word
 caps C-Pack's ratio at 8x.
 
 The dictionary resets every line, so a line's encoding depends only on
-its content; :meth:`CPackCompressor.compress` exploits that with a
-content-keyed LRU memo, which pays off on the zero- and duplicate-heavy
-workloads where the same lines refill the cache repeatedly.
+its content.  :meth:`CPackCompressor.compress` needs only the size, and
+sizes a line in one pass without building tokens (:func:`_line_bits`).
+A content-keyed LRU memo in front of it pays off on the zero- and
+duplicate-heavy workloads where the same lines refill the cache
+repeatedly.  The token path (:meth:`~CPackCompressor.compress_tokens`,
+the bitstream serialisers and
+:meth:`~CPackCompressor.decompress_tokens`) is the decodable encoding
+the size stands for; verification and the fuzz tests run it.
 """
 
 from __future__ import annotations
@@ -48,26 +53,48 @@ PREFIX_CODES: Dict[str, Tuple[int, int]] = {
     "mmmx": (0b1110, 4),
 }
 
-#: pattern code -> payload bits after the prefix (pointer + literal)
-_PAYLOAD_BITS: Dict[str, int] = {
-    "zzzz": 0,
-    "xxxx": 32,
-    "mmmm": POINTER_BITS,
-    "mmxx": POINTER_BITS + 16,
-    "zzzx": 8,
-    "mmmx": POINTER_BITS + 8,
-}
-
-#: token kind -> total encoded size in bits (prefix + payload)
-_TOKEN_BITS: Dict[str, int] = {
-    kind: width + _PAYLOAD_BITS[kind]
-    for kind, (_, width) in PREFIX_CODES.items()
-}
-
 #: content-keyed memo capacity for per-line encoded sizes
 _MEMO_ENTRIES = 4096
 
 Token = Tuple  # (kind, *payload)
+
+
+def _line_bits(line: bytes) -> int:
+    """Encoded size of one line in bits, in one pass and without tokens.
+
+    Equal to the summed token widths of
+    :meth:`CPackCompressor.compress_tokens`.  Each of a line's sixteen
+    words pushes at most one entry into the :data:`DICTIONARY_ENTRIES`
+    dictionary, so the FIFO never overwrites an entry within a line:
+    every word pushed earlier in the line is still there, and the
+    dictionary scans reduce to membership in the pushed words, their
+    upper 24 bits and their upper 16 bits.  Zero and one-byte words
+    (``zzzz``, ``zzzx``) are never pushed.
+    """
+    full: set = set()
+    upper24: set = set()
+    upper16: set = set()
+    bits = 0
+    for word in words32(line):
+        if word == 0:
+            bits += 2                   # zzzz
+        elif word < (1 << 8):
+            bits += 12                  # zzzx
+        elif word in full:
+            bits += 6                   # mmmm
+        else:
+            high24 = word >> 8
+            high16 = word >> 16
+            if high24 in upper24:
+                bits += 16              # mmmx
+            elif high16 in upper16:
+                bits += 24              # mmxx
+            else:
+                bits += 34              # xxxx
+            full.add(word)
+            upper24.add(high24)
+            upper16.add(high16)
+    return bits
 
 
 class _FifoDictionary:
@@ -192,7 +219,8 @@ class CPackCompressor(IntraLineCompressor):
         """Exact encoded size of ``line`` in bits.
 
         The per-line dictionary reset makes the size a pure function of
-        content, so repeated lines are answered from an LRU memo.
+        content, so repeated lines are answered from an LRU memo and new
+        ones are sized by :func:`_line_bits` without building tokens.
         """
         line = check_line(line)
         memo = self._memo
@@ -201,8 +229,7 @@ class CPackCompressor(IntraLineCompressor):
             del memo[line]
             memo[line] = bits  # LRU refresh
             return CompressedSize(bits)
-        bits = sum(_TOKEN_BITS[token[0]]
-                   for token in self.compress_tokens(line))
+        bits = _line_bits(line)
         compression_event("cpack", line, bits)
         if len(memo) >= _MEMO_ENTRIES:
             del memo[next(iter(memo))]

@@ -11,11 +11,18 @@ dictionary is fixed-size and system-wide, multi-programmed mixes dilute it
 
 The 18KB storage figure from the paper's Table 4 corresponds to roughly
 2K tracked values plus decode tables; ``max_entries`` defaults to 2048.
+
+The cache model needs only encoded sizes.  Every training (retrains
+included) turns the new code into a word-to-bits table plus one escape
+width (escape codeword and 32-bit payload), so sizing a line is one
+table lookup per word.  :class:`~repro.compression.huffman.HuffmanStreamCodec`
+is the bitstream those sizes stand for.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Dict, Optional
 
 from repro.common.stats import StatGroup
@@ -48,6 +55,9 @@ class Sc2Dictionary:
         self._lines_seen = 0
         self._code: Optional[HuffmanCode] = None
         self._lines_since_training = 0
+        #: the trained code as word -> bits, and the bits of any other word
+        self._word_bits: Dict[int, int] = {}
+        self._escape_bits = ESCAPE_PAYLOAD_BITS
 
     def observe(self, line: bytes) -> None:
         """Account one filled line's values toward the statistics."""
@@ -69,18 +79,15 @@ class Sc2Dictionary:
         # keep; ensure it exists so unseen values stay encodable.
         dropped = sum(self._counts.values()) - sum(frequencies.values())
         frequencies[ESCAPE] = max(1, dropped)
-        self._code = HuffmanCode.from_frequencies(frequencies)
+        code = HuffmanCode.from_frequencies(frequencies)
+        self._code = code
+        self._word_bits = {symbol: code.length(symbol)
+                           for symbol in code.symbols()
+                           if symbol is not ESCAPE}
+        self._escape_bits = code.length(ESCAPE) + ESCAPE_PAYLOAD_BITS
         self._lines_since_training = 0
         self.stats.add("trainings")
         self.stats.set("dictionary_entries", len(frequencies) - 1)
-
-    def word_bits(self, word: int) -> int:
-        """Encoded size of one 32-bit word under the current code."""
-        if self._code is None:
-            return 32
-        if word in self._code:
-            return self._code.length(word)
-        return self._code.length(ESCAPE) + ESCAPE_PAYLOAD_BITS
 
     def compress(self, line: bytes) -> CompressedSize:
         """Exact encoded size of ``line`` under the current dictionary."""
@@ -88,6 +95,7 @@ class Sc2Dictionary:
         if self._code is None:
             self.stats.add("uncompressed_lines")
             return CompressedSize(len(line) * 8)
-        bits = sum(self.word_bits(word) for word in words32(line))
+        bits = sum(map(self._word_bits.get, words32(line),
+                       repeat(self._escape_bits)))
         self.stats.add("compressed_lines")
         return CompressedSize(bits)

@@ -4,9 +4,12 @@ These are the straight-line kernels the repository shipped before the
 hot paths were optimised, preserved verbatim in behaviour.  They are the
 golden standard the live codecs are held to:
 
-- ``tests/test_perf_equivalence.py`` and ``tests/test_fill_path.py``
-  assert the live kernels produce identical bits, symbols and committed
-  dictionaries;
+- ``tests/test_perf_equivalence.py``, ``tests/test_fill_path.py`` and
+  ``tests/test_size_kernels.py`` assert the live kernels produce
+  identical bits, symbols and committed dictionaries;
+- the reference models in :mod:`repro.conformance.reference` size C-Pack
+  and LBE lines with them, so ``repro check`` never compares a live
+  kernel with itself;
 - ``benchmarks/bench_perf.py`` times the live kernels against them.
 
 Nothing in the simulator calls them.  Everything here trades speed for

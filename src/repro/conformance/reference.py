@@ -7,9 +7,11 @@ a reference against the paper's prose is a one-to-one check.  The
 differential driver (:mod:`repro.conformance.driver`) then proves the
 optimised production implementations agree with these step for step.
 
-References deliberately share the *codecs* (C-Pack, LBE, LZ, tag
-compression) with production: codec round-trips are proven separately by
-the fuzz and perf-equivalence suites, and what conformance must pin down
+C-Pack and LBE sizes come from the seed kernels in
+:mod:`repro.conformance.oracles`, never from the optimised production
+codecs, so a wrong production size shows up here as a cache divergence.
+The LZ and tag codecs are shared with production: their round-trips are
+proven separately by the fuzz suites, and what conformance must pin down
 is the cache, log, table and channel *bookkeeping* built on top of the
 codec sizes.
 """
@@ -21,14 +23,18 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import MemoryConfig, MorcConfig
 from repro.common.words import LINE_SIZE
-from repro.compression.cpack import CPackCompressor
-from repro.compression.lbe import LbeCompressor, LbeDictionary
+from repro.compression.lbe import LbeDictionary
 from repro.compression.lz import LzHistory, LzStreamCompressor
 from repro.compression.tag_compression import (
     FULL_TAG_BITS,
     TagCompressor,
     TagStream,
     VALID_BITS,
+)
+from repro.conformance.oracles import (
+    reference_cpack_bits,
+    reference_lbe_compress,
+    reference_lbe_measure,
 )
 from repro.mem.dram import DEFAULT_DDR3, Ddr3Timing
 
@@ -267,12 +273,12 @@ class RefSetCache:
 
 
 def cpack_segments(line_size: int = LINE_SIZE) -> Callable[[bytes], int]:
-    """Production-faithful C-Pack sizer for a reference cache."""
-    compressor = CPackCompressor()
+    """C-Pack sizer for a reference cache: the oracle's bits in segments."""
     full = line_size // SEGMENT_BYTES
 
     def segments_for(data: bytes) -> int:
-        return min(compressor.compress(data).segments(SEGMENT_BYTES), full)
+        bits = reference_cpack_bits(data)
+        return min(max(1, math.ceil(bits / (SEGMENT_BYTES * 8))), full)
 
     return segments_for
 
@@ -497,11 +503,12 @@ class RefMorcCache:
     Re-derives the whole MORC bookkeeping from the paper's operation
     descriptions with brute-force structures: list-scanned LMT sets,
     summation-recomputed log occupancy, linear-scan victim and
-    reuse-candidate selection.  Shares the LBE/C-Pack/LZ/tag codecs with
-    production (their round-trips are proven elsewhere); ``algorithm``
-    may be ``"lbe"``, ``"cpack"``, ``"lz"`` or ``"raw"`` (lines and
-    tags stored uncompressed).  Logs are replaced FIFO, a hit reads tags
-    then data, and the tag store is twice an uncompressed log's tags.
+    reuse-candidate selection.  LBE and C-Pack sizes come from the seed
+    oracles; the LZ and tag codecs are production's (their round-trips
+    are proven elsewhere).  ``algorithm`` may be ``"lbe"``, ``"cpack"``,
+    ``"lz"`` or ``"raw"`` (lines and tags stored uncompressed).  Logs
+    are replaced FIFO, a hit reads tags then data, and the tag store is
+    twice an uncompressed log's tags.
     """
 
     def __init__(self, capacity_bytes: int, config: MorcConfig,
@@ -535,8 +542,6 @@ class RefMorcCache:
         self.active: List[int] = [self.free_pool.pop(0)
                                   for _ in range(config.n_active_logs)]
         self._lmt_clock = 0   # LMT clock (way recency)
-        self._lbe = LbeCompressor()
-        self._cpack = CPackCompressor()
         self._lz = LzStreamCompressor()
         self._tags = TagCompressor(n_bases=config.tag_bases)
         self.counters: Dict[str, float] = {}
@@ -685,13 +690,12 @@ class RefMorcCache:
         if self.algorithm == "raw":
             return UNCOMPRESSED_LINE_BITS
         if self.algorithm == "cpack":
-            return min(self._cpack.compress(data).size_bits,
-                       UNCOMPRESSED_LINE_BITS)
+            return min(reference_cpack_bits(data), UNCOMPRESSED_LINE_BITS)
         if self.algorithm == "lz":
             return min(self._lz.compress(data, log.lz_history,
                                          commit=False).size_bits,
                        UNCOMPRESSED_LINE_BITS)
-        return min(self._lbe.measure(data, log.dictionary),
+        return min(reference_lbe_measure(data, log.dictionary),
                    UNCOMPRESSED_LINE_BITS)
 
     def _trial_tag_bits(self, log: _RefLog, line_address: int) -> int:
@@ -735,13 +739,13 @@ class RefMorcCache:
         if self.algorithm == "raw":
             data_bits = UNCOMPRESSED_LINE_BITS
         elif self.algorithm == "cpack":
-            data_bits = self._cpack.compress(data).size_bits
+            data_bits = reference_cpack_bits(data)
         elif self.algorithm == "lz":
             data_bits = self._lz.compress(data, log.lz_history,
                                           commit=True).size_bits
         else:
-            data_bits = self._lbe.compress(data, log.dictionary,
-                                           commit=True).size_bits
+            data_bits = reference_lbe_compress(data, log.dictionary,
+                                               commit=True).size_bits
         data_bits = min(data_bits, UNCOMPRESSED_LINE_BITS)
         if self.algorithm == "raw":
             tag_bits = UNCOMPRESSED_TAG_BITS

@@ -136,7 +136,7 @@ class TestStreamCodec:
             HuffmanStreamCodec(code)
 
     def test_size_matches_dictionary_accounting(self):
-        """The cache model's word_bits() equals the real bitstream."""
+        """The cache model's line size equals the real bitstream."""
         from repro.common.bitio import BitWriter
         from repro.common.words import from_words32, words32
         from repro.compression.huffman import HuffmanStreamCodec

@@ -35,6 +35,23 @@ class TestWords32:
         line = b"\x01\x02\x03\x04" + bytes(60)
         assert words.words32(line)[0] == 0x01020304
 
+    def test_full_line_is_a_list_of_word_slices(self):
+        line = bytes((7 * i + 3) % 256 for i in range(64))
+        unpacked = words.words32(line)
+        assert type(unpacked) is list
+        assert unpacked == [int.from_bytes(line[i:i + 4], "big")
+                            for i in range(0, 64, 4)]
+        assert words.words32(bytearray(line)) == unpacked
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"", []),
+        (b"\x00\x00\x01\x00", [0x100]),
+        (bytes(range(1, 9)), [0x01020304, 0x05060708]),
+        (b"\x01\x02\x03\x04\x05\x06", [0x01020304, 0x0506]),
+    ])
+    def test_other_lengths_unchanged(self, data, expected):
+        assert words.words32(data) == expected
+
 
 class TestChunks:
     def test_sizes(self):
