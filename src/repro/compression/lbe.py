@@ -94,6 +94,9 @@ _Z4, _Z8, _Z16, _Z32 = bytes(4), bytes(8), bytes(16), bytes(32)
 #: per-dictionary measure-memo capacity (content-keyed LRU)
 _MEASURE_MEMO_ENTRIES = 512
 
+#: a limit no line reaches: an encoding is at most 16 u32 literals
+_NO_LIMIT = 1 << 30
+
 
 @dataclass(frozen=True, slots=True)
 class Symbol:
@@ -242,7 +245,8 @@ def _decompose(line: bytes) -> tuple:
     return tuple(tree)
 
 
-def _measure_tree(tree: tuple, dictionary: LbeDictionary) -> int:
+def _measure_tree(tree: tuple, dictionary: LbeDictionary,
+                  limit: int = _NO_LIMIT) -> Optional[int]:
     """Encoded size of a decomposed line, leaving ``dictionary`` untouched.
 
     Entries the line would allocate are tracked in local sets: a literal
@@ -251,6 +255,10 @@ def _measure_tree(tree: tuple, dictionary: LbeDictionary) -> int:
     §3.2.5), in the encoder's post-order, so capacity freezes on exactly
     the block the encoder freezes on.  Every size has its own table, so
     the order across sizes does not matter.
+
+    The running count only grows, so the walk stops and returns None
+    once it is over ``limit``; a size it does return is exact, and may
+    still be over ``limit`` when the last blocks passed it.
     """
     maps, values = dictionary._maps, dictionary._values
     m4, m8, m16, m32 = maps[4], maps[8], maps[16], maps[32]
@@ -293,6 +301,8 @@ def _measure_tree(tree: tuple, dictionary: LbeDictionary) -> int:
                         if room4:
                             a4.add(word)
                             room4 -= 1
+                if bits > limit:
+                    return None
                 failed8.append(quarter)
             failed16.append(half)
         if position == last:
@@ -430,15 +440,19 @@ class LbeCompressor:
             compression_event("lbe", line, compressed.size_bits)
         return compressed
 
-    def measure(self, line: bytes, dictionary: LbeDictionary) -> int:
+    def measure(self, line: bytes, dictionary: LbeDictionary,
+                limit: Optional[int] = None) -> Optional[int]:
         """Exact encoded size of ``line`` against ``dictionary`` without
-        building symbols or touching the dictionary.
+        building symbols or touching the dictionary, or None when a
+        ``limit`` is given and the size is over it.
 
-        Guaranteed equal to ``compress(line, dictionary,
+        A size is guaranteed equal to ``compress(line, dictionary,
         commit=False).size_bits``.  Multi-log trial placement calls this
-        on every active log for every fill, so it walks the cached block
+        on the active logs for every fill, so it walks the cached block
         plan with membership tests only, behind a content-keyed LRU memo
         per dictionary (cross-line duplication makes repeats common).
+        With a ``limit`` the walk stops once it passes it; a stopped walk
+        knows no size, so it is never memoized.
         """
         line, plan = self._plan_for(line)
         memo = dictionary._memo
@@ -446,11 +460,16 @@ class LbeCompressor:
         if bits is not None:
             del memo[line]
             memo[line] = bits  # LRU refresh
-            return bits
-        bits = _measure_tree(plan, dictionary)
-        if len(memo) >= _MEASURE_MEMO_ENTRIES:
-            del memo[next(iter(memo))]
-        memo[line] = bits
+        else:
+            bits = _measure_tree(plan, dictionary,
+                                 _NO_LIMIT if limit is None else limit)
+            if bits is None:
+                return None
+            if len(memo) >= _MEASURE_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[line] = bits
+        if limit is not None and bits > limit:
+            return None
         return bits
 
     # -- decompression ------------------------------------------------------

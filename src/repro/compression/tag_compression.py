@@ -126,11 +126,15 @@ class TagCompressor:
         if n_bases not in (1, 2):
             raise CompressionError("tag compression supports 1 or 2 bases")
         self.n_bases = n_bases
-
-    @property
-    def entry_overhead_bits(self) -> int:
-        """Fixed bits on every entry: validity + base-select (if 2 bases)."""
-        return VALID_BITS + (1 if self.n_bases == 2 else 0)
+        #: fixed bits on every entry: validity + base-select (if 2 bases)
+        self.entry_overhead_bits = VALID_BITS + (1 if n_bases == 2 else 0)
+        #: a new base's size, and a delta's before its precision bits
+        self._new_base_bits = (self.entry_overhead_bits + CODE_BITS
+                               + FULL_TAG_BITS)
+        self._delta_base_bits = (self.entry_overhead_bits + CODE_BITS
+                                 + SIGN_BITS)
+        #: the smallest token: a delta with no precision bits
+        self.min_token_bits = self._delta_base_bits
 
     def new_stream(self) -> TagStream:
         """Start a fresh per-log stream."""
@@ -148,7 +152,7 @@ class TagCompressor:
             if delta == 0 or abs(delta) > MAX_DISTANCE:
                 continue
             code, extra, value = distance_code(abs(delta))
-            size = self.entry_overhead_bits + CODE_BITS + SIGN_BITS + extra
+            size = self._delta_base_bits + extra
             token = TagToken("delta", slot, size, code=code,
                              sign=1 if delta < 0 else 0,
                              precision_value=value)
@@ -156,8 +160,8 @@ class TagCompressor:
                 best = token
         if best is None:
             slot = stream.lru[0]  # least recently used
-            size = self.entry_overhead_bits + CODE_BITS + FULL_TAG_BITS
-            best = TagToken("new_base", slot, size, line_address=line_address)
+            best = TagToken("new_base", slot, self._new_base_bits,
+                            line_address=line_address)
         self._apply(stream, best, line_address)
         stream.total_bits += best.size_bits
         stream.n_tags += 1
@@ -183,8 +187,8 @@ class TagCompressor:
             if extra is None or bits < extra:
                 extra = bits
         if extra is None:
-            return self.entry_overhead_bits + CODE_BITS + FULL_TAG_BITS
-        return self.entry_overhead_bits + CODE_BITS + SIGN_BITS + extra
+            return self._new_base_bits
+        return self._delta_base_bits + extra
 
     def decode(self, tokens: List[TagToken]) -> List[int]:
         """Replay a token stream back into the appended line addresses."""

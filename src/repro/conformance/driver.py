@@ -286,7 +286,7 @@ def _check_set_caches(result: ComponentResult, seeds: Sequence[int],
                                               records, SET_CACHE_COUNTERS)
 
 
-def _morc_variants(deep: bool) -> List[Tuple[str, Callable]]:
+def _morc_variants() -> List[Tuple[str, Callable]]:
     capacity = 8 * 1024
 
     def make(algorithm: str, config: MorcConfig = MorcConfig()):
@@ -296,15 +296,22 @@ def _morc_variants(deep: bool) -> List[Tuple[str, Callable]]:
 
     variants = [(f"morc-{algorithm}", make(algorithm))
                 for algorithm in ("lbe", "cpack", "raw", "lz")]
-    if deep:
-        variants.append(("morc-merged",
-                         make("lbe", MorcConfig(merged_tags=True))))
+    # Every layout of the fit rule (Log.data_room): tags merged into the
+    # data region, one tag base, no tag or LMT limit, and Figure 13a's
+    # 64B logs, where a line may not fit an empty log.
+    variants += [
+        ("morc-merged", make("lbe", MorcConfig(merged_tags=True))),
+        ("morc-1base", make("lbe", MorcConfig(tag_bases=1))),
+        ("morc-unlimited", make("lbe",
+                                MorcConfig(unlimited_metadata=True))),
+        ("morc-64B", make("lbe", MorcConfig(log_size_bytes=64))),
+    ]
     return variants
 
 
 def _check_morc(result: ComponentResult, seeds: Sequence[int],
-                mixes: Sequence[str], n_ops: int, deep: bool) -> None:
-    for name, factory in _morc_variants(deep):
+                mixes: Sequence[str], n_ops: int) -> None:
+    for name, factory in _morc_variants():
         for mix in mixes:
             for seed in seeds:
                 recorder = _Recorder(result, f"{name}/{mix}", seed)
@@ -434,7 +441,7 @@ def run_check(deep: bool = False,
 
     Quick (default): 2 stream mixes x 3 seeds per scheme, a few hundred
     operations each — seconds, suitable for CI and ``repro check``.
-    Deep: all 4 mixes, longer streams, plus the merged-tag MORC variant.
+    Deep: all 4 mixes and longer streams.
     """
     seeds = tuple(seeds) if seeds else QUICK_SEEDS
     mixes = ALL_STREAMS if deep else ALL_STREAMS[:2]
@@ -449,7 +456,7 @@ def run_check(deep: bool = False,
         "policies": lambda r: _check_policies(r, seeds, policy_ops),
         "set-caches": lambda r: _check_set_caches(r, seeds, mixes,
                                                   cache_ops),
-        "morc": lambda r: _check_morc(r, seeds, mixes, morc_ops, deep),
+        "morc": lambda r: _check_morc(r, seeds, mixes, morc_ops),
         "channels": lambda r: _check_channels(r, seeds, mixes,
                                               channel_ops),
         "metrics": lambda r: _check_metrics(r, seeds, metric_cases),

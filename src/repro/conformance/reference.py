@@ -534,9 +534,14 @@ class RefMorcCache:
                      for i in range(n_logs)]
         n_sets = (capacity_bytes // LINE_SIZE
                   * config.lmt_overprovision) // config.lmt_ways
-        self.lmt_sets: List[List[_RefLmtEntry]] = [
-            [_RefLmtEntry() for _ in range(config.lmt_ways)]
-            for _ in range(n_sets)]
+        # An unlimited LMT (Figure 13's limit study) is one set that
+        # grows a way whenever it has no free one: no conflicts, no
+        # aliases.
+        self.lmt_unlimited = config.unlimited_metadata
+        self.lmt_sets: List[List[_RefLmtEntry]] = (
+            [[]] if self.lmt_unlimited else
+            [[_RefLmtEntry() for _ in range(config.lmt_ways)]
+             for _ in range(n_sets)])
         self.free_pool: List[int] = list(range(n_logs))
         self.closed_fifo: List[int] = []
         self.active: List[int] = [self.free_pool.pop(0)
@@ -567,8 +572,15 @@ class RefMorcCache:
             if way.line_address == line_address:
                 way.last_use = self._lmt_tick()
                 return way, False
-            aliased = True
+            aliased = not self.lmt_unlimited
         return None, aliased
+
+    def _lmt_peek(self, line_address: int) -> Optional[_RefLmtEntry]:
+        """A lookup that changes nothing (no recency tick)."""
+        for way in self._lmt_set(line_address):
+            if way.is_valid and way.line_address == line_address:
+                return way
+        return None
 
     def _lmt_allocate(self, line_address: int
                       ) -> Tuple[_RefLmtEntry, Optional[_RefLmtEntry]]:
@@ -580,6 +592,9 @@ class RefMorcCache:
                 return way, None
             if free is None and not way.is_valid:
                 free = way
+        if free is None and self.lmt_unlimited:
+            free = _RefLmtEntry()
+            ways.append(free)
         if free is not None:
             free.line_address = line_address
             free.last_use = self._lmt_tick()
@@ -637,8 +652,7 @@ class RefMorcCache:
         return self._insert(address, data, modified=True)
 
     def contains(self, address: int) -> bool:
-        entry, _ = self._lmt_lookup(address // LINE_SIZE)
-        return entry is not None
+        return self._lmt_peek(address // LINE_SIZE) is not None
 
     def compression_ratio(self) -> float:
         valid = sum(log.valid_count() for log in self.logs)

@@ -7,8 +7,9 @@ Operations (paper §3.1):
   data (16 output bytes/cycle) up to the requested line, which is where
   MORC trades latency for compression ratio.
 - **Fill**: allocate an LMT entry (possibly an LMT-conflict eviction),
-  trial-compress into every active log, append to the winner (5% fudge
-  diversification), or retire a full active log and bring in a fresh one.
+  trial-compress into every active log with room, append to the winner
+  (5% fudge diversification), or retire a full active log and bring in a
+  fresh one.
 - **Write-back**: appended like a fill — the old copy, if any, is
   invalidated in place; the LMT entry is flipped to Modified and repointed.
 - **Eviction**: LMT-conflict evictions invalidate a single line (writing
@@ -187,8 +188,7 @@ class MorcCache(LLCInterface):
         return self._insert(address, check_line(data), modified=True)
 
     def contains(self, address: int) -> bool:
-        entry, _ = self.lmt.lookup(address // LINE_SIZE)
-        return entry is not None
+        return self.lmt.peek(address // LINE_SIZE) is not None
 
     def compression_ratio(self) -> float:
         valid_lines = sum(log.valid_count for log in self.logs)
@@ -266,17 +266,32 @@ class MorcCache(LLCInterface):
 
     def _trial_all(self, line_address: int,
                    data: bytes) -> List[PlacementCandidate]:
+        """The active logs the line fits in, with its sizes in each.
+
+        Placement only needs sizes that fit (:func:`choose_log`), so each
+        log is asked for the tag first and then for the data within the
+        room the tag leaves (:meth:`Log.data_room`); a log with no room
+        for the codec's smallest tag is not asked at all.
+        """
         # A soft-error raw-fallback line is stored uncompressed.
         codec = RAW if line_address in self._raw_fallback else self._codec
         trial = codec.trial
-        measure_tag = self._tag_compressor.measure
+        tags = self._tag_compressor
+        measure_tag, smallest_tag = tags.measure, tags.min_token_bits
         candidates: List[PlacementCandidate] = []
         for index in self._active:
             log = self.logs[index]
-            candidates.append(PlacementCandidate(
-                log, trial(log.codec_state, data),
-                measure_tag(log.tag_stream, line_address)))
-        self.stats.add("trial_compressions", len(candidates))
+            if log.data_room(smallest_tag) is None:
+                continue
+            tag_bits = measure_tag(log.tag_stream, line_address)
+            room = log.data_room(tag_bits)
+            if room is None:
+                continue
+            data_bits = trial(log.codec_state, data, room)
+            if data_bits is not None:
+                candidates.append(PlacementCandidate(log, data_bits,
+                                                     tag_bits))
+        self.stats.add("trial_compressions", len(self._active))
         return candidates
 
     def _commit_append(self, log: Log, line_address: int,

@@ -4,15 +4,20 @@
 (the evaluated design), ``"cpack"`` (per-line C-Pack in the same logs,
 §3.2.5's ablation), ``"lz"`` (LZ77 over the log stream, §6's software
 reference) or ``"raw"`` (lines and tags uncompressed, Figure 12).  Each
-codec has ``new_state()``, a fresh log's state; ``trial(state, data)``,
-the bits ``data`` would take in that log, leaving ``state`` unchanged;
-and ``commit(state, data, cache)``, which appends ``data`` and returns
-its bits with LBE's symbol stream (``None`` for the others), checking
-the round trip under ``REPRO_VERIFY``.  Sizes are clamped to a raw line:
-a real design stores the raw line when compression expands it.
+codec has ``new_state()``, a fresh log's state; ``trial(state, data,
+limit)``, the bits ``data`` would take in that log, or ``None`` when it
+would take more than ``limit`` (the log's data room), leaving ``state``
+unchanged; and ``commit(state, data, cache)``, which appends ``data``
+and returns its bits with LBE's symbol stream (``None`` for the
+others), checking the round trip under ``REPRO_VERIFY``.  Sizes are
+clamped to a raw line: a real design stores the raw line when
+compression expands it, so a ``limit`` of a raw line or more never
+rejects.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.common.errors import CacheError
 from repro.common.words import LINE_SIZE
@@ -37,8 +42,9 @@ class RawCodec:
     def new_state(self) -> None:
         return None
 
-    def trial(self, state, data: bytes) -> int:
-        return UNCOMPRESSED_LINE_BITS
+    def trial(self, state, data: bytes, limit: int) -> Optional[int]:
+        return (UNCOMPRESSED_LINE_BITS if limit >= UNCOMPRESSED_LINE_BITS
+                else None)
 
     def commit(self, state, data: bytes, cache: str):
         return UNCOMPRESSED_LINE_BITS, None
@@ -57,9 +63,14 @@ class LbeCodec:
     def new_state(self) -> LbeDictionary:
         return LbeDictionary()
 
-    def trial(self, state: LbeDictionary, data: bytes) -> int:
-        return min(self.compressor.measure(data, state),
-                   UNCOMPRESSED_LINE_BITS)
+    def trial(self, state: LbeDictionary, data: bytes,
+              limit: int) -> Optional[int]:
+        if limit >= UNCOMPRESSED_LINE_BITS:
+            return min(self.compressor.measure(data, state),
+                       UNCOMPRESSED_LINE_BITS)
+        # Below a raw line the clamp cannot bring an oversize line under
+        # the limit, so the walk may stop as soon as it passes it.
+        return self.compressor.measure(data, state, limit)
 
     def commit(self, state: LbeDictionary, data: bytes, cache: str):
         snapshot = state.copy() if self._verify else None
@@ -80,12 +91,16 @@ class CPackCodec:
     def new_state(self) -> None:
         return None
 
-    def trial(self, state, data: bytes) -> int:
+    def _bits(self, data: bytes) -> int:
         return min(self.compressor.compress(data).size_bits,
                    UNCOMPRESSED_LINE_BITS)
 
+    def trial(self, state, data: bytes, limit: int) -> Optional[int]:
+        bits = self._bits(data)
+        return bits if bits <= limit else None
+
     def commit(self, state, data: bytes, cache: str):
-        bits = self.trial(state, data)
+        bits = self._bits(data)
         if self._verify:
             res_verify.verify_intraline_roundtrip(self.compressor, data,
                                                   cache)
@@ -102,10 +117,12 @@ class LzCodec:
     def new_state(self) -> LzHistory:
         return LzHistory()
 
-    def trial(self, state: LzHistory, data: bytes) -> int:
-        return min(self.compressor.compress(data, state,
+    def trial(self, state: LzHistory, data: bytes,
+              limit: int) -> Optional[int]:
+        bits = min(self.compressor.compress(data, state,
                                             commit=False).size_bits,
                    UNCOMPRESSED_LINE_BITS)
+        return bits if bits <= limit else None
 
     def commit(self, state: LzHistory, data: bytes, cache: str):
         before = bytes(state.data) if self._verify else None
@@ -118,6 +135,9 @@ class LzCodec:
 
 class RawTags:
     """Uncompressed tags: the full line address plus a valid bit."""
+
+    #: the size of every token, so also the smallest
+    min_token_bits = UNCOMPRESSED_TAG_BITS
 
     def new_stream(self) -> None:
         return None

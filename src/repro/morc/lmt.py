@@ -115,6 +115,16 @@ class LineMapTable:
             self.stats.add("aliased_misses")
         return None, aliased
 
+    def peek(self, line_address: int) -> Optional[LmtEntry]:
+        """The entry tracking ``line_address``, or None, as :meth:`lookup`
+        finds it but changing nothing: no recency tick, no stats."""
+        if self.unlimited:
+            return self._unlimited_map.get(line_address)
+        for entry in self._sets.get(line_address % self.n_sets, ()):
+            if entry.is_valid and entry.line_address == line_address:
+                return entry
+        return None
+
     def allocate(self, line_address: int) -> Tuple[LmtEntry, Optional[LmtEntry]]:
         """Claim an entry for ``line_address``.
 

@@ -77,17 +77,30 @@ class Log:
                     - self.tag_bits_used)
         return self.data_capacity_bits - self.data_bits_used
 
-    def fits(self, data_bits: int, tag_bits: int) -> bool:
-        """Can a line of this encoded size be appended?"""
+    def data_room(self, tag_bits: int) -> Optional[int]:
+        """Most data bits this log can take beside a ``tag_bits`` tag, or
+        None when the log is closed or the tag does not fit.
+
+        This is the one fit rule: a line fits iff its data bits are at
+        most the room.  A merged log's tag shares the data region, a
+        separate one must fit the tag region, and an unlimited one
+        (``tag_capacity_bits`` None) takes any tag.
+        """
         if self.closed:
-            return False
+            return None
         if self.merged:
-            return (self.data_bits_used + self.tag_bits_used
-                    + data_bits + tag_bits) <= self.data_capacity_bits
+            room = (self.data_capacity_bits - self.data_bits_used
+                    - self.tag_bits_used - tag_bits)
+            return room if room >= 0 else None
         if (self.tag_capacity_bits is not None
                 and self.tag_bits_used + tag_bits > self.tag_capacity_bits):
-            return False
-        return self.data_bits_used + data_bits <= self.data_capacity_bits
+            return None
+        return self.data_capacity_bits - self.data_bits_used
+
+    def fits(self, data_bits: int, tag_bits: int) -> bool:
+        """Can a line of this encoded size be appended?"""
+        room = self.data_room(tag_bits)
+        return room is not None and data_bits <= room
 
     def append(self, line_address: int, data: bytes, data_bits: int,
                tag_bits: int,

@@ -1,7 +1,7 @@
 """Multi-log, content-aware placement (paper §3.2.3).
 
 With several active logs, MORC trial-compresses the incoming line into
-every one and commits only the most fruitful.  Always taking the best log
+every one it fits in and commits only the most fruitful.  Always taking the best log
 can starve the others of diverse content, so the paper adds a fudge
 factor: when the best and worst candidate sizes are within (by default) 5%
 of each other, the line is seeded to the *least-used* log instead,
@@ -18,7 +18,7 @@ from repro.morc.log import Log
 
 @dataclass(frozen=True)
 class PlacementCandidate:
-    """One active log's trial-compression outcome for a line."""
+    """An active log a line fits in, with its trial-compression outcome."""
 
     log: Log
     data_bits: int
@@ -28,32 +28,29 @@ class PlacementCandidate:
     def total_bits(self) -> int:
         return self.data_bits + self.tag_bits
 
-    @property
-    def fits(self) -> bool:
-        return self.log.fits(self.data_bits, self.tag_bits)
-
 
 def choose_log(candidates: List[PlacementCandidate],
                fudge_factor: float = 0.05) -> Optional[PlacementCandidate]:
     """Pick the log to append into.
 
-    Only candidates with room are considered.  Returns None when the line
-    fits nowhere (the caller must retire a log and retry).  Scoring uses
-    the compressed *data* size (the content-commonality signal); the tag
-    delta is an addressing artefact — letting it into the score makes the
-    warmest tag stream attract every line and defeats segregation.  When
-    all fitting candidates compress within ``fudge_factor`` of each other,
-    the least-used (most free space) log wins; otherwise the smallest
-    encoding wins.
+    Every candidate is a log the line fits in
+    (:meth:`repro.morc.cache.MorcCache._trial_all` leaves out the rest).
+    Returns None when there is none (the caller must retire a log and
+    retry).  Scoring uses the compressed *data* size (the
+    content-commonality signal); the tag delta is an addressing artefact
+    — letting it into the score makes the warmest tag stream attract
+    every line and defeats segregation.  When all candidates compress
+    within ``fudge_factor`` of each other, the least-used (most free
+    space) log wins; otherwise the smallest encoding wins.  Ties go to
+    the earliest candidate.
     """
-    fitting = [candidate for candidate in candidates if candidate.fits]
-    if not fitting:
+    if not candidates:
         return None
-    best = min(fitting, key=lambda c: c.data_bits)
-    worst = max(fitting, key=lambda c: c.data_bits)
+    best = min(candidates, key=lambda c: c.data_bits)
+    worst = max(candidates, key=lambda c: c.data_bits)
     if worst.data_bits == 0:
         return best
     spread = (worst.data_bits - best.data_bits) / worst.data_bits
     if spread <= fudge_factor:
-        return max(fitting, key=lambda c: c.log.free_data_bits)
+        return max(candidates, key=lambda c: c.log.free_data_bits)
     return best

@@ -277,3 +277,35 @@ class TestDataIntegrity:
                 assert entry.data == data
                 checked += 1
         assert checked >= 120
+
+
+class TestContainsIsReadOnly:
+    """``contains`` is a probe: like the set-associative caches', it must
+    not change which way a later LMT conflict evicts."""
+
+    @staticmethod
+    def conflict_outcome(probe):
+        cache = small_cache()
+        n_sets = cache.lmt.n_sets
+        older, newer, third = 0, n_sets * 64, 2 * n_sets * 64
+        cache.fill(older, line(1))
+        cache.fill(newer, line(2))
+        if probe:
+            assert cache.contains(older)
+        lookups = cache.lmt.stats.get("lookups")
+        cache.fill(third, line(3))  # both ways taken: a conflict
+        return ([cache.contains(address)
+                 for address in (older, newer, third)],
+                cache.stats.get("lmt_conflict_evictions"), lookups)
+
+    def test_probe_leaves_the_conflict_victim_alone(self):
+        probed = self.conflict_outcome(probe=True)
+        assert probed == self.conflict_outcome(probe=False)
+        assert probed[0] == [False, True, True]  # LRU: the older line
+        assert probed[1] == 1
+
+    def test_unlimited_table_probe(self):
+        cache = small_cache(unlimited_metadata=True)
+        cache.fill(0, line(1))
+        assert cache.contains(0)
+        assert not cache.contains(64)

@@ -2,7 +2,8 @@
 
 A fill trials every active log and commits to one, so a trial must be
 exact and free of side effects: ``trial`` leaves a log's codec state as
-it was, and equals the bits ``commit`` then charges against that state.
+it was, and equals the bits ``commit`` then charges against that state;
+bounded by a log's room, it reports the same size or "over".
 Checked on the line contents of real traces, the way the fill path calls
 the codec: trial against every active log, then commit to one of them.
 """
@@ -47,7 +48,14 @@ def test_trial_is_pure_and_equals_commit(algorithm, program):
     appended = [0] * N_LOGS
     for index, data in enumerate(_trace_lines(program, 300)):
         before = [_contents(state) for state in states]
-        trials = [codec.trial(state, data) for state in states]
+        trials = [codec.trial(state, data, UNCOMPRESSED_LINE_BITS)
+                  for state in states]
+        # Bounded by a log's room, a trial is the same size, or None
+        # exactly when the line needs more than the room.
+        for state, bits in zip(states, trials):
+            for limit in (0, bits - 1, bits, 300, 2 * UNCOMPRESSED_LINE_BITS):
+                assert codec.trial(state, data, limit) == (
+                    bits if bits <= limit else None)
         assert [_contents(state) for state in states] == before
         assert all(0 <= bits <= UNCOMPRESSED_LINE_BITS for bits in trials)
         target = index % N_LOGS
@@ -70,9 +78,9 @@ def test_committed_lines_change_later_trials_only_for_stream_codecs(
     codec, _ = make_codecs(algorithm, tag_bases=2, verify=False)
     state = codec.new_state()
     line = bytes(range(64))
-    first = codec.trial(state, line)
+    first = codec.trial(state, line, UNCOMPRESSED_LINE_BITS)
     codec.commit(state, line, "contract")
-    again = codec.trial(state, line)
+    again = codec.trial(state, line, UNCOMPRESSED_LINE_BITS)
     if algorithm in ("lbe", "lz"):
         assert again < first  # the log now holds the line
     else:

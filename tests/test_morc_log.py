@@ -129,3 +129,43 @@ class TestUtilization:
         log = make_log(capacity_bits=100, tag_bits=None, merged=True)
         log.append(0, line(0), 50, 10)
         assert log.utilization == pytest.approx(0.6)
+
+
+class TestDataRoom:
+    """The one fit rule: a line fits iff its data is within the room."""
+
+    def test_fits_is_data_bits_within_room(self):
+        log = make_log(capacity_bits=100, tag_bits=None)
+        assert log.data_room(5) == 100
+        assert log.fits(100, 5)
+        assert not log.fits(101, 5)
+
+    def test_tiny_log_room(self):
+        log = make_log(capacity_bits=100, tag_bits=None)
+        log.append(0, line(0), 90, 0)
+        assert log.data_room(10) == 10
+        assert not log.fits(20, 10)
+
+    def test_closed_log_has_no_room(self):
+        log = make_log()
+        log.closed = True
+        assert log.data_room(0) is None
+        assert not log.fits(0, 0)
+
+    def test_tag_region_full(self):
+        log = make_log(tag_bits=20)
+        log.append(0, line(0), 10, 12)
+        assert log.data_room(8) == 4096 - 10
+        assert log.data_room(9) is None
+
+    def test_merged_room_counts_the_new_tag(self):
+        log = make_log(capacity_bits=100, tag_bits=None, merged=True)
+        log.append(0, line(0), 50, 10)
+        assert log.data_room(15) == 25
+        assert log.data_room(40) == 0
+        assert log.data_room(41) is None
+
+    def test_unlimited_tags_never_block(self):
+        log = make_log(tag_bits=None)
+        log.append(0, line(0), 96, 10_000)
+        assert log.data_room(10_000) == 4000

@@ -16,6 +16,15 @@ matches on the upper 24 and 16 bits, the ``word < 256`` boundary
 (``zzzx`` words are never pushed), sixteen pushed words, and a word
 that repeats one pushed after a partial match.  Real traffic comes from
 every line filled into an LLC on the perfbench programs' traces.
+
+MORC's bounded LBE trial
+(:meth:`~repro.compression.lbe.LbeCompressor.measure` with a ``limit``)
+must equal the seed oracle (:func:`repro.conformance.oracles.
+reference_lbe_measure`) whenever that size is within the limit, report
+"over" (None) otherwise, and never leave a stopped walk's partial count
+in its memo.  The limit it gets is a log's
+:meth:`~repro.morc.log.Log.data_room`, which must agree with the
+reference's literal fit rule in every layout.
 """
 
 from __future__ import annotations
@@ -30,9 +39,23 @@ from repro.common.config import SystemConfig
 from repro.common.words import from_words32, words32
 from repro.compression.cpack import CPackCompressor
 from repro.compression.huffman import ESCAPE, HuffmanCode
+from repro.compression.lbe import (
+    DICT_CAPACITY,
+    LbeCompressor,
+    LbeDictionary,
+    _decompose,
+    _measure_tree,
+)
 from repro.compression.sc2dict import ESCAPE_PAYLOAD_BITS, Sc2Dictionary
-from repro.conformance.oracles import reference_cpack_bits
+from repro.conformance.oracles import (
+    reference_cpack_bits,
+    reference_lbe_compress,
+    reference_lbe_measure,
+)
+from repro.conformance.reference import _RefLog, _RefLogEntry
 from repro.experiments.runner import instructions_for
+from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
+from repro.morc.log import Log
 from repro.sim.system import make_llc, run_single_program
 
 pytestmark = pytest.mark.conformance
@@ -258,3 +281,128 @@ def test_sc2_every_filled_line_matches_the_code():
                        warmup_fraction=GRID_WARMUP, llc=llc)
     # sampled, trained, and retrained at least once on real fills
     assert {0, 1, 2} <= set(checked)
+
+
+# -- LBE bounded by a log's room -------------------------------------------
+
+
+def lbe_word(rng: random.Random) -> int:
+    """A word from a small pool, so blocks repeat within and across lines;
+    zero and narrow words give z*, u8 and u16 symbols."""
+    shape = rng.randrange(5)
+    if shape == 0:
+        return 0
+    if shape == 1:
+        return rng.randrange(1, 1 << 8)
+    if shape == 2:
+        return rng.randrange(1 << 8, 1 << 16)
+    if shape == 3:
+        return rng.choice(BASES)
+    return rng.randrange(1 << 32)
+
+
+def lbe_line(rng: random.Random) -> bytes:
+    words = [lbe_word(rng) for _ in range(16)]
+    shape = rng.randrange(4)
+    if shape == 1:
+        words[8:] = words[:8]            # repeated 256b chunk
+    elif shape == 2:
+        words[4:8] = words[:4]           # repeated 128b half
+    elif shape == 3:
+        words = [0] * 8 + words[8:]      # a zero chunk
+    return from_words32(words)
+
+
+def lbe_dictionaries():
+    """An empty, a warm and a freeze-edge dictionary (one entry short of
+    capacity at every granularity)."""
+    rng = random.Random(2015)
+    warm = LbeDictionary()
+    for _ in range(6):
+        reference_lbe_compress(lbe_line(rng), warm)
+    edge = LbeDictionary()
+    for size, capacity in DICT_CAPACITY.items():
+        for index in range(capacity - 1):
+            assert edge.insert(b"\xa5" + index.to_bytes(size - 1, "big"))
+    return {"empty": LbeDictionary(), "warm": warm, "edge": edge}
+
+
+def assert_bounded_measure_exact(line: bytes,
+                                 dictionary: LbeDictionary) -> None:
+    """Every limit from 0 to a raw line against the oracle's size."""
+    compressor = LbeCompressor()
+    exact = reference_lbe_measure(line, dictionary)
+    for limit in range(UNCOMPRESSED_LINE_BITS + 1):
+        dictionary._memo.clear()
+        bounded = compressor.measure(line, dictionary, limit)
+        assert bounded == (exact if exact <= limit else None), limit
+        # Whatever the bounded walk left in the memo is exact.
+        assert compressor.measure(line, dictionary) == exact
+        assert compressor.measure(line, dictionary, limit) == bounded
+
+
+def test_lbe_bounded_seeded_lines_match_the_oracle():
+    rng = random.Random(16)
+    dictionaries = lbe_dictionaries()
+    for _ in range(12):
+        line = lbe_line(rng)
+        for dictionary in dictionaries.values():
+            assert_bounded_measure_exact(line, dictionary)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 0xFF), st.integers(0, 0xFFFF),
+                          st.sampled_from(BASES), st.integers(0, 2**32 - 1)),
+                min_size=16, max_size=16),
+       st.sampled_from(["empty", "warm", "edge"]))
+def test_lbe_bounded_hypothesis_lines_match_the_oracle(words, name):
+    assert_bounded_measure_exact(from_words32(words),
+                                 lbe_dictionaries()[name])
+
+
+def test_lbe_bounded_walk_stops_early():
+    """A walk over the limit stops rather than finishing the line."""
+    line = from_words32([0xDEADBEEF + 977 * i for i in range(16)])
+    dictionary = LbeDictionary()
+    plan = _decompose(line)
+    assert _measure_tree(plan, dictionary) == 16 * 34
+    assert _measure_tree(plan, dictionary, 100) is None
+    assert _measure_tree(plan, dictionary, 16 * 34) == 16 * 34
+    compressor = LbeCompressor()
+    assert compressor.measure(line, dictionary, 100) is None
+    assert line not in dictionary._memo
+
+
+#: (data capacity, tag capacity, merged): separate, merged and unlimited
+FIT_LAYOUTS = [(96, 40, False), (96, None, True), (96, None, False)]
+
+
+@pytest.mark.parametrize("data_capacity, tag_capacity, merged", FIT_LAYOUTS)
+def test_data_room_agrees_with_the_literal_fit_rule(data_capacity,
+                                                    tag_capacity, merged):
+    for used_data in range(0, data_capacity + 1, 4):
+        for used_tag in range(0, 61, 3):
+            if merged and used_data + used_tag > data_capacity:
+                continue
+            if tag_capacity is not None and used_tag > tag_capacity:
+                continue
+            for closed in (False, True):
+                log = Log(index=0, data_capacity_bits=data_capacity,
+                          tag_capacity_bits=tag_capacity, merged=merged)
+                literal = _RefLog(0, data_capacity, tag_capacity, merged,
+                                  tag_bases=2)
+                if used_data or used_tag:
+                    log.append(0, bytes(64), used_data, used_tag)
+                    literal.entries.append(
+                        _RefLogEntry(0, bytes(64), used_data, used_tag))
+                log.closed = literal.closed = closed
+                for tag_bits in range(0, 70):
+                    room = log.data_room(tag_bits)
+                    if room is None:
+                        assert not literal.fits(0, tag_bits)
+                    else:
+                        assert literal.fits(room, tag_bits)
+                        assert not literal.fits(room + 1, tag_bits)
+                    for data_bits in (0, 1, 37, data_capacity):
+                        assert (log.fits(data_bits, tag_bits)
+                                == literal.fits(data_bits, tag_bits))
