@@ -23,19 +23,19 @@ decompression latency on loads; both choices are reproduced here.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import PoisonedLineError
 from repro.common.stats import StatGroup
-from repro.common.words import check_line
+from repro.common.words import LINE_SIZE, check_line
 from repro.obs import trace as obs_trace
 from repro import settings
 from repro.resilience import verify as res_verify
 from repro.resilience.faults import make_injector
 from repro.cache.base import FillResult, LLCInterface, ReadResult
-from repro.cache.replacement import LruPolicy
 from repro.compression.base import IntraLineCompressor
 from repro.compression.cpack import CPackCompressor
 from repro.compression.sc2dict import Sc2Dictionary
@@ -54,13 +54,16 @@ class _Line:
 
 
 class _Set:
-    """One cache set: a tag-limited, segment-budgeted pool of lines."""
+    """One cache set: a tag-limited, segment-budgeted pool of lines.
 
-    __slots__ = ("lines", "lru", "used_segments")
+    ``lines`` maps a line address to its line in LRU order, least
+    recently used first: it is both the tag array and perfect LRU.
+    """
+
+    __slots__ = ("lines", "used_segments")
 
     def __init__(self) -> None:
-        self.lines: Dict[int, _Line] = {}
-        self.lru = LruPolicy()
+        self.lines: "OrderedDict[int, _Line]" = OrderedDict()
         self.used_segments = 0
 
 
@@ -89,6 +92,8 @@ class SetAssociativeCache(LLCInterface):
         self._n_sets = geometry.n_sets
         self._sets = [_Set() for _ in range(self._n_sets)]
         self.stats = StatGroup(self.name)
+        # Every miss reads the same outcome; ReadResult is immutable.
+        self._miss = ReadResult(False, base_latency_cycles)
         # Resilience hooks (repro/resilience): inert on a clean run.
         self._injector = make_injector()
         self._raw_fallback: set = set()
@@ -96,9 +101,6 @@ class SetAssociativeCache(LLCInterface):
         self._full_segments = geometry.line_size // SEGMENT_BYTES
 
     # -- helpers ------------------------------------------------------------
-
-    def _set_for(self, address: int) -> _Set:
-        return self._sets[(address // self._line_size) % self._n_sets]
 
     def _line_segments(self, data: bytes) -> int:
         if self.compressor is None:
@@ -112,15 +114,15 @@ class SetAssociativeCache(LLCInterface):
     # -- LLCInterface ---------------------------------------------------------
 
     def read(self, address: int) -> ReadResult:
-        cache_set = self._set_for(address)
         line_address = address // self._line_size
+        cache_set = self._sets[line_address % self._n_sets]
         line = cache_set.lines.get(line_address)
         if line is None:
             self.stats.add("read_misses")
-            return ReadResult(False, self.base_latency_cycles)
+            return self._miss
         if line.poison_bit is not None:
             return self._recover(cache_set, line, during="read")
-        cache_set.lru.touch(line_address)
+        cache_set.lines.move_to_end(line_address)
         self.stats.add("read_hits")
         latency = self.base_latency_cycles
         if self.compressor is not None:
@@ -131,13 +133,18 @@ class SetAssociativeCache(LLCInterface):
 
     def fill(self, address: int, data: bytes) -> FillResult:
         self.stats.add("fills")
-        return self._insert(address, check_line(data), dirty=False)
+        # A 64-byte ``bytes`` is what check_line would return; anything
+        # else goes through it, to be rejected or converted.
+        if not (type(data) is bytes and len(data) == LINE_SIZE):
+            data = check_line(data)
+        return self._insert(address, data, dirty=False)
 
     def writeback(self, address: int, data: bytes) -> FillResult:
         self.stats.add("writebacks_in")
-        data = check_line(data)
-        cache_set = self._set_for(address)
+        if not (type(data) is bytes and len(data) == LINE_SIZE):
+            data = check_line(data)
         line_address = address // self._line_size
+        cache_set = self._sets[line_address % self._n_sets]
         line = cache_set.lines.get(line_address)
         if line is None:
             return self._insert(address, data, dirty=True)
@@ -160,13 +167,13 @@ class SetAssociativeCache(LLCInterface):
         line.data = data
         line.dirty = True
         line.poison_bit = None  # the rewrite stores fresh bits
-        cache_set.lru.touch(line_address)
+        cache_set.lines.move_to_end(line_address)
         self._maybe_poison(line)
         return result
 
     def contains(self, address: int) -> bool:
         line_address = address // self._line_size
-        return line_address in self._set_for(address).lines
+        return line_address in self._sets[line_address % self._n_sets].lines
 
     def compression_ratio(self) -> float:
         resident = sum(len(s.lines) for s in self._sets)
@@ -195,7 +202,6 @@ class SetAssociativeCache(LLCInterface):
         bit = line.poison_bit
         dirty = line.dirty
         cache_set.lines.pop(line.address)
-        cache_set.lru.remove(line.address)
         cache_set.used_segments -= line.segments
         self.stats.add("soft_error_recoveries")
         if dirty:
@@ -227,12 +233,11 @@ class SetAssociativeCache(LLCInterface):
     # -- internals ------------------------------------------------------------
 
     def _insert(self, address: int, data: bytes, dirty: bool) -> FillResult:
-        cache_set = self._set_for(address)
         line_address = address // self._line_size
+        cache_set = self._sets[line_address % self._n_sets]
         existing = cache_set.lines.pop(line_address, None)
         if existing is not None:
             # Refilling a resident line: release its old footprint first.
-            cache_set.lru.remove(line_address)
             cache_set.used_segments -= existing.segments
             dirty = dirty or existing.dirty
         segments = self._line_segments(data)
@@ -243,12 +248,14 @@ class SetAssociativeCache(LLCInterface):
                                                   self.name)
         result = FillResult()
         need_tags = 0 if len(cache_set.lines) < self.tags_per_set else 1
-        self._make_room(cache_set, segments, need_tags, result)
+        if (need_tags or cache_set.used_segments + segments
+                > self.segments_per_set):
+            self._make_room(cache_set, segments, need_tags, result)
         new_line = _Line(line_address, data, dirty, segments)
-        cache_set.lines[line_address] = new_line
-        cache_set.lru.insert(line_address)
+        cache_set.lines[line_address] = new_line  # most recently used
         cache_set.used_segments += segments
-        self._maybe_poison(new_line)
+        if self._injector is not None:
+            self._maybe_poison(new_line)
         channel = obs_trace.LLC
         if channel is not None:
             channel.emit("insert", cache=self.name, dirty=dirty,
@@ -273,7 +280,7 @@ class SetAssociativeCache(LLCInterface):
 
     @staticmethod
     def _pick_victim(cache_set: _Set, protect: Optional[int]) -> Optional[int]:
-        for key in cache_set.lru._order:  # LRU order, oldest first
+        for key in cache_set.lines:  # LRU order, oldest first
             if key != protect:
                 return key
         return None
@@ -281,7 +288,6 @@ class SetAssociativeCache(LLCInterface):
     def _evict(self, cache_set: _Set, line_address: int,
                result: FillResult, reason: str = "capacity") -> None:
         line = cache_set.lines.pop(line_address)
-        cache_set.lru.remove(line_address)
         cache_set.used_segments -= line.segments
         self.stats.add("evictions")
         channel = obs_trace.LLC
@@ -358,7 +364,7 @@ class AdaptiveCache(SetAssociativeCache):
 
     def _classify_hit(self, cache_set: _Set, line_address: int) -> None:
         """Update the predictor from this hit's LRU stack depth."""
-        depth = list(cache_set.lru._order).index(line_address)
+        depth = list(cache_set.lines).index(line_address)
         stack_position = len(cache_set.lines) - depth  # 1 = MRU
         line = cache_set.lines[line_address]
         compressed = line.segments < self._full_segments
@@ -377,8 +383,8 @@ class AdaptiveCache(SetAssociativeCache):
         return self._predictor >= 0
 
     def read(self, address: int) -> ReadResult:
-        cache_set = self._set_for(address)
         line_address = address // self._line_size
+        cache_set = self._sets[line_address % self._n_sets]
         if line_address in cache_set.lines:
             self._classify_hit(cache_set, line_address)
         return super().read(address)

@@ -50,6 +50,7 @@ class BankedMemoryChannel:
         # is in memory-clock cycles and cannot be subtracted from
         # core-cycle timestamps directly.
         self._burst_cycles = timing.data_cycles / timing.frequency_hz * core_hz
+        self._transfer_cycles = config.cycles_per_line_transfer
         self._bank_free: List[float] = [0.0] * n_banks
         self._bus_free = 0.0
         self.stats = StatGroup("banked-memory")
@@ -58,7 +59,7 @@ class BankedMemoryChannel:
     @property
     def transfer_cycles(self) -> float:
         """Bus occupancy of one 64B line, in core cycles."""
-        return self.config.cycles_per_line_transfer
+        return self._transfer_cycles
 
     def _bank_for(self, address: int) -> int:
         # Closed-page interleave: consecutive lines hit different banks.
@@ -71,7 +72,7 @@ class BankedMemoryChannel:
         data_at = start + self._access_cycles
         # The data burst must also win the shared bus.
         bus_start = max(data_at - self._burst_cycles, self._bus_free)
-        bus_done = bus_start + self.transfer_cycles
+        bus_done = bus_start + self._transfer_cycles
         self._bus_free = bus_done
         # Closed page: the bank restores after the access completes.
         self._bank_free[bank] = bus_done + self._restore_cycles
@@ -85,7 +86,7 @@ class BankedMemoryChannel:
         self.stats.add("reads")
         latency = data_ready - now
         queue_wait = max(0.0, latency - self._access_cycles
-                         - self.transfer_cycles)
+                         - self._transfer_cycles)
         self.stats.add("queue_wait_cycles", queue_wait)
         channel = obs_trace.MEM
         if channel is not None:

@@ -26,6 +26,8 @@ class MemoryChannel:
 
     def __init__(self, config: MemoryConfig) -> None:
         self.config = config
+        # ``config`` is frozen, so one line's transfer time never changes.
+        self._transfer_cycles = config.cycles_per_line_transfer
         self._free_at = 0.0
         self.stats = StatGroup("memory")
         self._obs_countdown = 0
@@ -52,7 +54,7 @@ class MemoryChannel:
     @property
     def transfer_cycles(self) -> float:
         """Channel occupancy of one 64B line, in core cycles."""
-        return self.config.cycles_per_line_transfer
+        return self._transfer_cycles
 
     def read(self, now: float, address: int = 0,
              data: Optional[bytes] = None) -> float:
@@ -68,7 +70,8 @@ class MemoryChannel:
         self.stats.add("reads")
         queue_wait = start - now
         self.stats.add("queue_wait_cycles", queue_wait)
-        self._sample_occupancy(now, queue_wait)
+        if obs_trace.MEM is not None:
+            self._sample_occupancy(now, queue_wait)
         return queue_wait + self.config.dram_latency_cycles + occupancy
 
     def write(self, now: float, address: int = 0,
@@ -77,11 +80,12 @@ class MemoryChannel:
         start = max(now, self._free_at)
         self._free_at = start + self._occupancy(data)
         self.stats.add("writes")
-        self._sample_occupancy(now, start - now)
+        if obs_trace.MEM is not None:
+            self._sample_occupancy(now, start - now)
 
     def _occupancy(self, data: Optional[bytes]) -> float:
         """Channel occupancy of one transfer (subclass hook)."""
-        return self.transfer_cycles
+        return self._transfer_cycles
 
     @property
     def total_transfers(self) -> int:

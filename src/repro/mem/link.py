@@ -40,11 +40,11 @@ class LinkCompressedChannel(MemoryChannel):
 
     def _occupancy(self, data: Optional[bytes]) -> float:
         if data is None or len(data) != LINE_SIZE:
-            return self.transfer_cycles
+            return self._transfer_cycles
         size = self.compressor.compress(data)
         fraction = max(self.min_fraction,
                        size.size_bytes / LINE_SIZE)
         fraction = min(1.0, fraction)
         self.stats.add("compressed_transfers")
         self.stats.add("transfer_fraction_sum", fraction)
-        return self.transfer_cycles * fraction
+        return self._transfer_cycles * fraction

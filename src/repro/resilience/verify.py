@@ -200,10 +200,17 @@ def _audit_set_assoc(llc) -> List[str]:
             violations.append(
                 f"set {index}: {len(cache_set.lines)} lines exceed "
                 f"{llc.tags_per_set} tags")
-        if set(cache_set.lru._order) != set(cache_set.lines):
-            violations.append(
-                f"set {index}: LRU order disagrees with resident lines")
-        for line in cache_set.lines.values():
+        # ``lines`` is the tag array and the LRU order at once: each
+        # entry must be keyed by its own line, indexed to this set.
+        for key, line in cache_set.lines.items():
+            if key != line.address:
+                violations.append(
+                    f"set {index}: tag 0x{key:x} holds line "
+                    f"0x{line.address:x}")
+            if line.address % llc._n_sets != index:
+                violations.append(
+                    f"set {index}: line 0x{line.address:x} belongs to "
+                    f"set {line.address % llc._n_sets}")
             if not 0 < line.segments <= full_segments:
                 violations.append(
                     f"set {index}: line 0x{line.address:x} holds "

@@ -26,7 +26,7 @@ from repro.common.config import SystemConfig
 from repro.mem.controller import MemoryChannel
 from repro.obs import trace as obs_trace
 from repro.sim.metrics import RunMetrics
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import TraceRecord, accesses
 
 DEFAULT_SAMPLE_INTERVAL = 50_000
 
@@ -45,6 +45,7 @@ class CoreSimulator:
         self.l1 = l1 or L1Cache(self.config.l1)
         self.inclusive_writes = inclusive_writes
         self.sample_interval = sample_interval
+        self._base_cpi = self.config.base_cpi
         self.metrics = RunMetrics()
         self._next_sample = sample_interval
         self._cycles_at_last_miss = 0.0
@@ -59,13 +60,17 @@ class CoreSimulator:
         channel and the core clock run on through the boundary, while
         counters and statistics restart there.
         """
-        warming = warmup_instructions > 0
-        for record in trace:
-            self.step(record)
-            if warming and self.metrics.instructions >= warmup_instructions:
-                warming = False
-                self.start_measurement()
-                restart_shared_stats(self.llc, self.memory)
+        stream = accesses(trace)
+        step = self.step
+        if warmup_instructions > 0:
+            for address, is_write, gap, data in stream:
+                step(address, is_write, gap, data)
+                if self.metrics.instructions >= warmup_instructions:
+                    self.start_measurement()
+                    restart_shared_stats(self.llc, self.memory)
+                    break
+        for address, is_write, gap, data in stream:
+            step(address, is_write, gap, data)
         self.llc.sample_ratio()
         return self.measured()
 
@@ -88,61 +93,61 @@ class CoreSimulator:
         return replace(self.metrics,
                        cycles=self.metrics.cycles - self._measure_start)
 
-    def step(self, record: TraceRecord) -> None:
-        """Execute one memory access (plus its preceding gap)."""
-        metrics = self.metrics
-        metrics.instructions += 1 + record.gap
-        metrics.cycles += (1 + record.gap) * self.config.base_cpi
-        metrics.l1_accesses += 1
-        if self.l1.lookup(record.address, record.is_write, record.data):
-            self._maybe_sample()
-            return
-        metrics.l1_misses += 1
-        metrics.miss_gaps.append(metrics.cycles - self._cycles_at_last_miss)
-        latency = self._service_miss(record)
-        metrics.cycles += latency
-        metrics.miss_latencies.append(latency)
-        self._cycles_at_last_miss = metrics.cycles
-        self._maybe_sample()
+    def step(self, address: int | TraceRecord,
+             is_write: Optional[bool] = None, gap: int = 0,
+             data: Optional[bytes] = None) -> None:
+        """Execute one memory access (plus its preceding ``gap``).
 
-    def _service_miss(self, record: TraceRecord) -> float:
-        """Fetch the line below the L1; returns the added stall cycles."""
+        A lone :class:`TraceRecord` is accepted in place of the fields,
+        for callers that replay one record at a time.
+        """
+        if is_write is None:
+            address, is_write, gap, data = (address.address, address.is_write,
+                                            address.gap, address.data)
         metrics = self.metrics
-        now = metrics.cycles
-        result = self.llc.read(record.address)
-        if result.hit:
-            metrics.llc_hits += 1
-            latency = result.latency_cycles
-            fill_data = result.data
-        else:
-            metrics.llc_misses += 1
-            latency = result.latency_cycles + self.memory.read(
-                now, record.address, record.data)
-            metrics.memory_reads += 1
-            fill_data = record.data
-            if not record.is_write or self.inclusive_writes:
-                fill = self.llc.fill(record.address, fill_data)
-                self._drain_writebacks(fill, now)
-        l1_data = record.data if record.is_write else fill_data
-        victim = self.l1.fill(record.address, l1_data,
-                              dirty=record.is_write)
-        if victim is not None:
-            victim_address, victim_data, victim_dirty = victim
-            if victim_dirty:
-                wb = self.llc.writeback(victim_address, victim_data)
-                self._drain_writebacks(wb, now)
-        return latency
+        metrics.instructions += 1 + gap
+        metrics.cycles += (1 + gap) * self._base_cpi
+        metrics.l1_accesses += 1
+        l1 = self.l1
+        if not l1.lookup(address, is_write, data):
+            # Fetch the line below the L1, stalling for its latency.
+            metrics.l1_misses += 1
+            now = metrics.cycles
+            metrics.miss_gaps.append(now - self._cycles_at_last_miss)
+            llc = self.llc
+            result = llc.read(address)
+            if result.hit:
+                metrics.llc_hits += 1
+                latency = result.latency_cycles
+                fill_data = result.data
+            else:
+                metrics.llc_misses += 1
+                latency = result.latency_cycles + self.memory.read(
+                    now, address, data)
+                metrics.memory_reads += 1
+                fill_data = data
+                if not is_write or self.inclusive_writes:
+                    fill = llc.fill(address, fill_data)
+                    if fill.writebacks:
+                        self._drain_writebacks(fill, now)
+            victim = l1.fill(address, data if is_write else fill_data,
+                             dirty=is_write)
+            if victim is not None and victim[2]:
+                wb = llc.writeback(victim[0], victim[1])
+                if wb.writebacks:
+                    self._drain_writebacks(wb, now)
+            metrics.cycles += latency
+            metrics.miss_latencies.append(latency)
+            self._cycles_at_last_miss = metrics.cycles
+        if metrics.instructions >= self._next_sample:
+            self.llc.sample_ratio()
+            self._next_sample += self.sample_interval
 
     def _drain_writebacks(self, fill: FillResult, now: float) -> None:
         """Send LLC-evicted dirty lines to memory (posted writes)."""
         for address, data in fill.writebacks:
             self.memory.write(now, address, data)
             self.metrics.memory_writes += 1
-
-    def _maybe_sample(self) -> None:
-        if self.metrics.instructions >= self._next_sample:
-            self.llc.sample_ratio()
-            self._next_sample += self.sample_interval
 
 
 def restart_shared_stats(llc: LLCInterface, memory: MemoryChannel) -> None:

@@ -24,6 +24,7 @@ from repro.common.errors import ConfigError
 from repro.mem.controller import MemoryChannel
 from repro.sim.core import CoreSimulator, restart_shared_stats
 from repro.sim.metrics import RunMetrics
+from repro.workloads.trace import accesses
 
 
 @dataclass
@@ -74,17 +75,18 @@ class MultiCoreSystem:
         if len(traces) != len(self.cores):
             raise ConfigError(
                 f"{len(traces)} traces for {len(self.cores)} threads")
-        live = list(enumerate(iter(trace) for trace in traces))
+        live = [(index, core, accesses(trace)) for index, (core, trace)
+                in enumerate(zip(self.cores, traces))]
         warming = [warmup_instructions > 0] * len(self.cores)
         waiting = sum(warming)
         while live:
             still_live = []
-            for index, iterator in live:
-                record = next(iterator, None)
-                if record is None:
+            for thread in live:
+                index, core, stream = thread
+                access = next(stream, None)
+                if access is None:
                     continue
-                core = self.cores[index]
-                core.step(record)
+                core.step(*access)
                 if (warming[index]
                         and core.metrics.instructions
                         >= warmup_instructions):
@@ -93,7 +95,7 @@ class MultiCoreSystem:
                     waiting -= 1
                     if not waiting:
                         restart_shared_stats(self.llc, self.memory)
-                still_live.append((index, iterator))
+                still_live.append(thread)
             live = still_live
         self.llc.sample_ratio()
         return MultiCoreResult(

@@ -11,6 +11,11 @@ iteration of a :class:`SyntheticTrace` records the stream into
 :data:`STORE`, keyed by every generator input; later iterations of a
 trace with the same inputs replay the stored columns instead of running
 the generators again.  The store lives in memory and is per process.
+
+The simulator reads every trace through :func:`accesses`, as plain
+:data:`Access` fields: a :class:`SyntheticTrace` hands over its stored
+columns (:meth:`SyntheticTrace.columns`), so replay builds no record
+per access, and any other iterable of records is read field by field.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, Optional
+from itertools import starmap
+from operator import attrgetter
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from repro.common.words import LINE_SIZE
 from repro.workloads.datamodel import (
@@ -45,6 +52,12 @@ class TraceRecord:
     @property
     def line_address(self) -> int:
         return self.address // LINE_SIZE
+
+
+Access = Tuple[int, bool, int, bytes]
+"""One access as plain fields: (address, is_write, gap, data)."""
+
+_FIELDS = attrgetter("address", "is_write", "gap", "data")
 
 
 class SyntheticTrace:
@@ -86,6 +99,19 @@ class SyntheticTrace:
         if stored is not None:
             return stored.records()
         return self._recording(key)
+
+    def columns(self) -> Iterator[Access]:
+        """The stream as :data:`Access` tuples, with no record per access.
+
+        A stored entry is replayed column by column.  Otherwise the
+        generator's fields are yielded while the entry is recorded, and
+        it is stored once the iteration completes, as in ``iter()``.
+        """
+        key = self.key
+        stored = STORE.get(key)
+        if stored is not None:
+            return stored.columns()
+        return map(_FIELDS, self._recording(key))
 
     def _recording(self, key: tuple) -> Iterator[TraceRecord]:
         """Yield the generated stream; store it once it has all been
@@ -158,14 +184,25 @@ class StoredTrace:
                 + sum(len(column) * column.itemsize for column in
                       (self.addresses, self.gaps, self.line_index)))
 
-    def records(self) -> Iterator[TraceRecord]:
-        """The stored stream, as the records it was recorded from."""
+    def columns(self) -> Iterator[Access]:
+        """The stored stream, one :data:`Access` tuple per record."""
         lines = self.lines
         contents = [lines[start:start + LINE_SIZE]
                     for start in range(0, len(lines), LINE_SIZE)]
-        return map(TraceRecord, self.addresses,
-                   map(_FLAGS.__getitem__, self.writes), self.gaps,
-                   map(contents.__getitem__, self.line_index))
+        return zip(self.addresses, map(_FLAGS.__getitem__, self.writes),
+                   self.gaps, map(contents.__getitem__, self.line_index))
+
+    def records(self) -> Iterator[TraceRecord]:
+        """The stored stream, as the records it was recorded from."""
+        return starmap(TraceRecord, self.columns())
+
+
+def accesses(trace: Iterable[TraceRecord]) -> Iterator[Access]:
+    """Every access of ``trace`` as an :data:`Access` tuple: a
+    :class:`SyntheticTrace`'s columns, or any other records' fields."""
+    if isinstance(trace, SyntheticTrace):
+        return trace.columns()
+    return map(_FIELDS, trace)
 
 
 class TraceStore:

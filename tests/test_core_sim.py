@@ -117,8 +117,8 @@ def record_boundary(core, warmup):
     seen = []
     step = core.step
 
-    def recording_step(record):
-        step(record)
+    def recording_step(*access):
+        step(*access)
         if not seen and core.metrics.instructions >= warmup:
             seen.append((len(core.metrics.miss_latencies),
                          core.metrics.cycles))

@@ -77,3 +77,87 @@ class TestMemoryChannel:
         channel.read(0.0)
         channel.read(0.0)
         assert channel.stats.get("queue_wait_cycles") > 0
+
+
+class TestTransferCycles:
+    """Each channel takes one line's transfer time from its frozen
+    config once; every latency must be what the config gives per
+    transfer.  The event-list references recompute it on every request."""
+
+    BANDWIDTHS = (12.5e6, 100e6, 333e6, 1600e6)
+
+    @staticmethod
+    def requests():
+        """A fixed stream of (now, address, data, is_read): bursts that
+        queue, gaps that drain, and lines of different compressibility."""
+        import random
+        rng = random.Random(7)
+        now = 0.0
+        stream = []
+        for index in range(200):
+            now += rng.choice((0.0, 0.0, 3.0, 700.0, 20_000.0))
+            data = (bytes(64) if index % 3 == 0
+                    else bytes(rng.randrange(256) for _ in range(64)))
+            stream.append((now, rng.randrange(1 << 20) * 64, data,
+                           rng.random() < 0.75))
+        return stream
+
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
+    def test_fcfs_channel(self, bandwidth):
+        from repro.conformance.reference import RefFcfsChannel
+
+        config = MemoryConfig(bandwidth_bytes_per_sec=bandwidth)
+        channel, gold = MemoryChannel(config), RefFcfsChannel(config)
+        assert channel.transfer_cycles == config.cycles_per_line_transfer
+        for now, address, data, is_read in self.requests():
+            if is_read:
+                assert (channel.read(now, address, data)
+                        == gold.read(now, address, data))
+            else:
+                channel.write(now, address, data)
+                gold.write(now, address, data)
+        assert channel._free_at == gold._server_free_at()
+
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
+    def test_banked_channel(self, bandwidth):
+        from repro.conformance.reference import RefBankedChannel
+        from repro.mem.banked import BankedMemoryChannel
+
+        config = MemoryConfig(bandwidth_bytes_per_sec=bandwidth)
+        channel, gold = BankedMemoryChannel(config), RefBankedChannel(config)
+        assert channel.transfer_cycles == config.cycles_per_line_transfer
+        for now, address, data, is_read in self.requests():
+            if is_read:
+                assert (channel.read(now, address, data)
+                        == gold.read(now, address, data))
+            else:
+                channel.write(now, address, data)
+                gold.write(now, address, data)
+
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
+    def test_link_compressed_channel(self, bandwidth):
+        from repro.compression.cpack import CPackCompressor
+        from repro.mem.link import MIN_TRANSFER_FRACTION, LinkCompressedChannel
+
+        config = MemoryConfig(bandwidth_bytes_per_sec=bandwidth)
+        channel = LinkCompressedChannel(config)
+        assert channel.transfer_cycles == config.cycles_per_line_transfer
+        sizer = CPackCompressor()
+        free_at = 0.0
+        for now, address, data, is_read in self.requests():
+            fraction = min(1.0, max(MIN_TRANSFER_FRACTION,
+                                    sizer.compress(data).size_bytes / 64))
+            occupancy = config.cycles_per_line_transfer * fraction
+            start = max(now, free_at)
+            free_at = start + occupancy
+            if is_read:
+                assert channel.read(now, address, data) == (
+                    start - now + config.dram_latency_cycles + occupancy)
+            else:
+                channel.write(now, address, data)
+        assert channel._free_at == free_at
+
+    def test_transfer_cycles_is_read_only(self):
+        channel = MemoryChannel(MemoryConfig())
+        with pytest.raises(AttributeError):
+            channel.transfer_cycles = 1.0

@@ -9,6 +9,8 @@ and the invariant auditor.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import settings
@@ -468,3 +470,49 @@ class TestAuditor:
         monkeypatch.setattr(codec, decoder, corrupt_one_byte)
         with pytest.raises(VerificationError, match=message):
             cache.fill(64, line(2))
+
+
+class TestMergedSetAudit:
+    """A set cache's ``lines`` dict is its tag array and its LRU order at
+    once; the audit checks the segment sum, the tag budget and each
+    line's bookkeeping against it."""
+
+    @staticmethod
+    def filled():
+        cache = AdaptiveCache(CacheGeometry(16 * 64, ways=8))
+        for index in range(32):
+            cache.fill(index * 64, line(index % 7))
+        assert res_verify._audit_set_assoc(cache) == []
+        return cache, cache._sets[0]
+
+    def test_catches_a_line_counted_twice(self):
+        cache, cache_set = self.filled()
+        first = next(iter(cache_set.lines.values()))
+        cache_set.used_segments += first.segments
+        with pytest.raises(VerificationError, match="lines sum to"):
+            res_verify.audit(cache)
+
+    def test_catches_a_line_filed_under_another_tag(self):
+        cache, cache_set = self.filled()
+        key, stored = cache_set.lines.popitem(last=False)
+        cache_set.lines[key + cache._n_sets] = stored
+        with pytest.raises(VerificationError, match="holds line"):
+            res_verify.audit(cache)
+
+    def test_catches_a_line_in_the_wrong_set(self):
+        cache, cache_set = self.filled()
+        key, stored = cache_set.lines.popitem(last=False)
+        cache._sets[1].lines[key] = stored
+        cache_set.used_segments -= stored.segments
+        cache._sets[1].used_segments += stored.segments
+        with pytest.raises(VerificationError, match="belongs to set 0"):
+            res_verify.audit(cache)
+
+    def test_catches_too_many_tags(self):
+        cache, cache_set = self.filled()
+        while len(cache_set.lines) <= cache.tags_per_set:
+            key = max(cache_set.lines) + cache._n_sets
+            cache_set.lines[key] = dataclasses.replace(
+                next(iter(cache_set.lines.values())), address=key)
+        with pytest.raises(VerificationError, match="tags"):
+            res_verify.audit(cache)
