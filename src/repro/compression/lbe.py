@@ -32,6 +32,7 @@ a 512-byte engine budget: 128 x 32b data entries (7-bit pointers) and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -186,6 +187,15 @@ class CompressedLine:
         bits_for = _SYMBOL_BITS
         self.size_bits = sum(bits_for[symbol.kind]
                              for symbol in self.symbols)
+
+    def kind_bytes(self) -> Dict[str, int]:
+        """Uncompressed bytes the stream represents per symbol kind
+        (Figure 7), keyed in order of first appearance."""
+        usage: Dict[str, int] = {}
+        for symbol in self.symbols:
+            kind = symbol.kind
+            usage[kind] = usage.get(kind, 0) + _SIZE_FOR_KIND[kind]
+        return usage
 
 
 #: the payload-free symbols, shared by every encoding: one zero symbol
@@ -401,6 +411,71 @@ def _encode_tree(tree: tuple, dictionary: LbeDictionary
     return tuple(symbols)
 
 
+def _commit_tree(tree: tuple, dictionary: LbeDictionary) -> Dict[str, int]:
+    """Append a decomposed line to ``dictionary`` without building symbols.
+
+    The walk of :func:`_encode_tree`, allocating the same entries in the
+    same order, that counts the symbols it would emit per kind instead;
+    the counts are keyed in order of first appearance, the stream's.
+    """
+    maps, values = dictionary._maps, dictionary._values
+    m4, m8, m16, m32 = maps[4], maps[8], maps[16], maps[32]
+    v4, v8, v16, v32 = values[4], values[8], values[16], values[32]
+    cap4, cap8, cap16, cap32 = (DICT_CAPACITY[4], DICT_CAPACITY[8],
+                                DICT_CAPACITY[16], DICT_CAPACITY[32])
+    literal_kind = _LITERAL_KIND
+    entries_before = len(v4) + len(v8) + len(v16) + len(v32)
+    counts: Dict[str, int] = defaultdict(int)
+    for chunk, halves in tree:
+        if chunk is None:
+            counts["z256"] += 1
+            continue
+        if chunk in m32:
+            counts["m256"] += 1
+            continue
+        failed8, failed16 = [], []
+        for half, quarters in halves:
+            if half is None:
+                counts["z128"] += 1
+                continue
+            if half in m16:
+                counts["m128"] += 1
+                continue
+            for quarter, words in quarters:
+                if quarter is None:
+                    counts["z64"] += 1
+                    continue
+                if quarter in m8:
+                    counts["m64"] += 1
+                    continue
+                for word, literal_bits in words:
+                    if word is None:
+                        counts["z32"] += 1
+                    elif word in m4:
+                        counts["m32"] += 1
+                    else:
+                        counts[literal_kind[literal_bits]] += 1
+                        if len(v4) < cap4:
+                            m4[word] = len(v4)
+                            v4.append(word)
+                failed8.append(quarter)
+            failed16.append(half)
+        for quarter in failed8:
+            if quarter not in m8 and len(v8) < cap8:
+                m8[quarter] = len(v8)
+                v8.append(quarter)
+        for half in failed16:
+            if half not in m16 and len(v16) < cap16:
+                m16[half] = len(v16)
+                v16.append(half)
+        if len(v32) < cap32:
+            m32[chunk] = len(v32)
+            v32.append(chunk)
+    if len(v4) + len(v8) + len(v16) + len(v32) != entries_before:
+        dictionary._memo.clear()
+    return counts
+
+
 class LbeCompressor:
     """LBE encoder; dictionary state is passed in per log.
 
@@ -435,10 +510,30 @@ class LbeCompressor:
         target = dictionary if commit else dictionary.copy()
         compressed = CompressedLine(_encode_tree(plan, target))
         if commit:
-            # Trial placements go through measure(); committed appends are
-            # the stream's real compression attempts.
+            # A trial (measure(), or commit=False) is not a compression
+            # attempt of the stream; an append is.
             compression_event("lbe", line, compressed.size_bits)
         return compressed
+
+    def commit(self, line: bytes,
+               dictionary: LbeDictionary) -> Tuple[int, Dict[str, int]]:
+        """Append ``line`` to ``dictionary``'s stream without building
+        its symbols.
+
+        Returns the exact encoded size and the bytes each symbol kind
+        represents (Figure 7), keyed in stream order: equal to
+        ``compress(line, dictionary)``'s ``size_bits`` and
+        :meth:`CompressedLine.kind_bytes`, with the same entries
+        allocated.  MORC commits every fill this way and keeps no stream.
+        """
+        line, plan = self._plan_for(line)
+        bits = 0
+        usage: Dict[str, int] = {}
+        for kind, count in _commit_tree(plan, dictionary).items():
+            bits += count * _SYMBOL_BITS[kind]
+            usage[kind] = count * _SIZE_FOR_KIND[kind]
+        compression_event("lbe", line, bits)
+        return bits, usage
 
     def measure(self, line: bytes, dictionary: LbeDictionary,
                 limit: Optional[int] = None) -> Optional[int]:

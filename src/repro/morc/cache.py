@@ -86,9 +86,7 @@ class MorcCache(LLCInterface):
             tag_capacity = 2 * lines_per_log * FULL_TAG_BITS
         self.logs: List[Log] = [
             Log(index=i, data_capacity_bits=cfg.log_size_bytes * 8,
-                tag_capacity_bits=tag_capacity, merged=cfg.merged_tags,
-                codec_state=self._codec.new_state(),
-                tag_stream=self._tag_compressor.new_stream())
+                tag_capacity_bits=tag_capacity, merged=cfg.merged_tags)
             for i in range(n_logs)
         ]
         capacity_lines = capacity_bytes // LINE_SIZE
@@ -98,7 +96,10 @@ class MorcCache(LLCInterface):
 
         self._free_pool: Deque[int] = deque(range(n_logs))
         self._closed_fifo: Deque[int] = deque()
-        self._active: List[int] = [self._free_pool.popleft()
+        #: how many logs in ``_closed_fifo`` have only dead lines, so are
+        #: reusable without a flush
+        self._dead_closed = 0
+        self._active: List[int] = [self._take_free_log().index
                                    for _ in range(cfg.n_active_logs)]
         self.stats = StatGroup(self.name)
         #: distribution of decompressed output bytes per hit (Figure 14)
@@ -177,7 +178,17 @@ class MorcCache(LLCInterface):
                          line=entry.line_address, policy=policy,
                          during=during, dirty=dirty, bit=entry.poison_bit)
         self.lmt.release(lmt_entry)
-        self.logs[entry.log_index].invalidate(entry)
+        log = self.logs[entry.log_index]
+        if during == "flush":
+            log.invalidate(entry)  # the victim has left the closed FIFO
+        else:
+            self._invalidate(log, entry)
+
+    def _invalidate(self, log: Log, entry: LogEntry) -> None:
+        """Kill one resident line; a closed log whose last line dies
+        becomes reusable without a flush."""
+        if log.invalidate(entry) and log.closed:
+            self._dead_closed += 1
 
     def fill(self, address: int, data: bytes) -> FillResult:
         self.stats.add("fills")
@@ -225,7 +236,8 @@ class MorcCache(LLCInterface):
         if lmt_entry.is_valid and lmt_entry.entry_ref is not None:
             # Updating a resident line: the old copy becomes dead in place
             # (appends never modify a log; paper §3.1 write-backs).
-            self.logs[lmt_entry.log_index].invalidate(lmt_entry.entry_ref)
+            self._invalidate(self.logs[lmt_entry.log_index],
+                             lmt_entry.entry_ref)
             self.stats.add("superseded_lines")
             channel = obs_trace.LLC
             if channel is not None:
@@ -242,7 +254,7 @@ class MorcCache(LLCInterface):
         """LMT-conflict eviction: kill one resident line (paper §3.1)."""
         log = self.logs[conflict.log_index]
         victim: LogEntry = conflict.entry_ref
-        log.invalidate(victim)
+        self._invalidate(log, victim)
         self.stats.add("lmt_conflict_evictions")
         channel = obs_trace.LLC
         if channel is not None:
@@ -297,14 +309,13 @@ class MorcCache(LLCInterface):
     def _commit_append(self, log: Log, line_address: int,
                        data: bytes) -> LogEntry:
         codec = RAW if line_address in self._raw_fallback else self._codec
-        data_bits, compressed = codec.commit(log.codec_state, data,
-                                             self.name)
+        data_bits, usage = codec.commit(log.codec_state, data, self.name)
         # A raw-fallback line's tag still joins the compressed tag
         # stream, which the decoder does not need to recover its data.
         tag_bits = self._tag_compressor.append(log.tag_stream,
                                                line_address).size_bits
-        if compressed is not None:
-            self._account_symbols(compressed)
+        if usage is not None:
+            self._account_usage(usage)
         if not log.fits(data_bits, tag_bits) and not log.entries:
             # A tiny log (Figure 13a's 64B point) cannot even hold one raw
             # line plus its tag; clamp so the entry consumes the whole log.
@@ -316,8 +327,7 @@ class MorcCache(LLCInterface):
         if channel is not None:
             channel.emit("insert", cache=self.name, log=log.index,
                          bits=data_bits, tag_bits=tag_bits)
-        entry = log.append(line_address, data, data_bits, tag_bits,
-                           compressed=compressed)
+        entry = log.append(line_address, data, data_bits, tag_bits)
         # Raw lines are assumed ECC-protected: never injection targets.
         if self._injector is not None and codec is not RAW:
             flip = self._injector.flip_for(data_bits)
@@ -331,18 +341,18 @@ class MorcCache(LLCInterface):
                                  bit=flip, bits=data_bits)
         return entry
 
-    def _account_symbols(self, compressed) -> None:
-        """Track Figure 7's per-symbol usage (bytes represented + zeros).
+    def _account_usage(self, usage) -> None:
+        """Add one line's bytes per symbol kind to Figure 7's usage; the
+        line's keys are in stream order, so the counters keep the order
+        in which kinds first appeared.
 
         Only z* symbols stand for zeros: literals are non-zero words, and
         dictionary entries are literals or blocks that failed to match,
         neither of which is ever all-zero.
         """
-        usage, zero_usage = self.symbol_usage, self.symbol_zero_usage
-        for symbol in compressed.symbols:
-            kind = symbol.kind
-            size = symbol.data_bytes
-            usage[kind] += size
+        total, zero_usage = self.symbol_usage, self.symbol_zero_usage
+        for kind, size in usage.items():
+            total[kind] += size
             if kind[0] == "z":
                 zero_usage[kind] += size
 
@@ -355,6 +365,8 @@ class MorcCache(LLCInterface):
         retiring = self.logs[self._active[slot]]
         retiring.closed = True
         self._closed_fifo.append(retiring.index)
+        if retiring.all_invalid:
+            self._dead_closed += 1
         self.stats.add("log_closures")
         channel = obs_trace.LLC
         if channel is not None:
@@ -367,17 +379,21 @@ class MorcCache(LLCInterface):
 
     def _acquire_fresh_log(self, result: FillResult) -> Log:
         """Get an appendable empty log, flushing a FIFO victim if needed."""
-        # Priority 1: a closed log whose lines are all dead — no flush.
-        for index in list(self._closed_fifo):
-            log = self.logs[index]
-            if log.all_invalid:
-                self._closed_fifo.remove(index)
-                self._reset_log(log)
-                self.stats.add("log_reuses")
-                return log
+        # Priority 1: the oldest closed log whose lines are all dead — no
+        # flush.
+        if self._dead_closed:
+            fifo = self._closed_fifo
+            position = next(position for position, index in enumerate(fifo)
+                            if self.logs[index].all_invalid)
+            log = self.logs[fifo[position]]
+            del fifo[position]
+            self._dead_closed -= 1
+            self._reset_log(log)
+            self.stats.add("log_reuses")
+            return log
         # Priority 2: a never-used log.
         if self._free_pool:
-            return self.logs[self._free_pool.popleft()]
+            return self._take_free_log()
         # Priority 3: the oldest closed log, flushed (FIFO, §3.2.1).
         if not self._closed_fifo:
             raise CacheError("no closed log available to evict")
@@ -385,6 +401,13 @@ class MorcCache(LLCInterface):
         self._flush_log(victim, result)
         self._reset_log(victim)
         return victim
+
+    def _take_free_log(self) -> Log:
+        """A never-used log, given codec state as it goes active."""
+        log = self.logs[self._free_pool.popleft()]
+        log.codec_state = self._codec.new_state()
+        log.tag_stream = self._tag_compressor.new_stream()
+        return log
 
     def _reset_log(self, log: Log) -> None:
         log.reset(codec_state=self._codec.new_state(),

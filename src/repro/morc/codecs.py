@@ -8,8 +8,10 @@ codec has ``new_state()``, a fresh log's state; ``trial(state, data,
 limit)``, the bits ``data`` would take in that log, or ``None`` when it
 would take more than ``limit`` (the log's data room), leaving ``state``
 unchanged; and ``commit(state, data, cache)``, which appends ``data``
-and returns its bits with LBE's symbol stream (``None`` for the
-others), checking the round trip under ``REPRO_VERIFY``.  Sizes are
+and returns its bits with LBE's bytes per symbol kind for Figure 7
+(``None`` for the others), checking the round trip under
+``REPRO_VERIFY``.  No codec keeps an encoded stream: the model needs
+only sizes and the codec state later lines are coded against.  Sizes are
 clamped to a raw line: a real design stores the raw line when
 compression expands it, so a ``limit`` of a raw line or more never
 rejects.
@@ -74,11 +76,11 @@ class LbeCodec:
 
     def commit(self, state: LbeDictionary, data: bytes, cache: str):
         snapshot = state.copy() if self._verify else None
-        compressed = self.compressor.compress(data, state, commit=True)
+        bits, usage = self.compressor.commit(data, state)
         if snapshot is not None:
-            res_verify.verify_lbe_roundtrip(self.compressor, data, snapshot,
-                                            compressed, cache)
-        return min(compressed.size_bits, UNCOMPRESSED_LINE_BITS), compressed
+            res_verify.verify_lbe_commit(self.compressor, data, snapshot,
+                                         state, bits, usage, cache)
+        return min(bits, UNCOMPRESSED_LINE_BITS), usage
 
 
 class CPackCodec:

@@ -8,8 +8,10 @@ region and growing from the right (MORCMerged, §3.2.6).
 
 Because decompression must replay a log from its start, each log carries
 its own data codec state (:mod:`repro.morc.codecs`) and tag-compression
-stream.  The cache supplies fresh ones when it builds the log and each
-time it reclaims it.
+stream.  The cache supplies fresh ones when the log first goes active
+and each time it reclaims it; a log never taken from the free pool has
+none.  An entry keeps its line's size, not its encoding: the model needs
+only sizes and the codec state later lines are coded against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import List, Optional
 
 from repro.common.errors import CacheError
 from repro.common.words import LINE_SIZE
-from repro.compression.lbe import CompressedLine
 from repro.compression.tag_compression import TagStream
 
 
@@ -33,7 +34,6 @@ class LogEntry:
     data_bits: int
     tag_bits: int
     valid: bool = True
-    compressed: Optional[CompressedLine] = None
     lmt_ref: Optional[object] = None  # back-pointer to the tracking LmtEntry
     log_index: int = -1  # which log holds this entry
     #: stored bit flipped by an injected soft error, or None when clean;
@@ -60,9 +60,11 @@ class Log:
     valid_count: int = 0
     closed: bool = False
     generation: int = 0
-    #: the data codec's per-log state (LBE dictionary, LZ history, None)
+    #: the data codec's per-log state (LBE dictionary, LZ history, None);
+    #: None too until the log first goes active
     codec_state: object = None
-    #: the tag codec's per-log stream (None for uncompressed tags)
+    #: the tag codec's per-log stream (None for uncompressed tags, and
+    #: until the log first goes active)
     tag_stream: Optional[TagStream] = None
 
     @property
@@ -103,8 +105,7 @@ class Log:
         return room is not None and data_bits <= room
 
     def append(self, line_address: int, data: bytes, data_bits: int,
-               tag_bits: int,
-               compressed: Optional[CompressedLine] = None) -> LogEntry:
+               tag_bits: int) -> LogEntry:
         """Append a compressed line; caller must have checked :meth:`fits`."""
         if self.closed:
             raise CacheError(f"append to closed log {self.index}")
@@ -112,22 +113,25 @@ class Log:
             raise CacheError(f"log {self.index} overflow")
         entry = LogEntry(line_address=line_address, data=data,
                          position=len(self.entries), data_bits=data_bits,
-                         tag_bits=tag_bits, compressed=compressed,
-                         log_index=self.index)
+                         tag_bits=tag_bits, log_index=self.index)
         self.entries.append(entry)
         self.data_bits_used += data_bits
         self.tag_bits_used += tag_bits
         self.valid_count += 1
         return entry
 
-    def invalidate(self, entry: LogEntry) -> None:
-        """Mark an entry dead (its storage is reclaimed only at log reuse)."""
+    def invalidate(self, entry: LogEntry) -> bool:
+        """Mark an entry dead (its storage is reclaimed only at log reuse).
+
+        Returns True when this killed the log's last valid line.
+        """
         if not entry.valid:
-            return
+            return False
         entry.valid = False
         self.valid_count -= 1
         if self.valid_count < 0:
             raise CacheError(f"log {self.index} valid_count underflow")
+        return self.valid_count == 0
 
     @property
     def all_invalid(self) -> bool:

@@ -4,17 +4,20 @@ Enabled by ``REPRO_VERIFY=1``.  Two mechanisms:
 
 - **Round-trip verification on insert** — every committed compression is
   immediately decompressed and compared against the source line.  For
-  LBE the caller snapshots the log dictionary *before* the committing
-  compress (the decode must replay against pre-append state) and the
-  check also serialises the symbols to their exact bitstream and parses
-  them back.  MORC-LZ's committed line is decoded against the log's
-  pre-append history bytes.  Intra-line codecs go through
+  LBE the caller snapshots the log dictionary *before* the commit, which
+  builds no symbols; the check encodes the line against the snapshot,
+  holds the stream's size and per-kind bytes to the commit's, decodes
+  it (replaying against pre-append state) and also serialises the
+  symbols to their exact bitstream and parses them back.  MORC-LZ's
+  committed line is decoded against the log's pre-append history
+  bytes.  Intra-line codecs go through
   :meth:`~repro.compression.base.IntraLineCompressor.roundtrip`; codecs
   that only model sizes (SC2) are skipped.
 - **Invariant audits** — :func:`audit` walks a cache's structures and
   collects every broken invariant: bits accounting, occupancy vs
-  capacity, LMT↔log cross-references for MORC, segment/tag budgets for
-  the set-associative baselines, size-class bounds for the skewed cache.
+  capacity, LMT↔log cross-references and the count of reusable closed
+  logs for MORC, segment/tag budgets for the set-associative baselines,
+  size-class bounds for the skewed cache.
   The system simulator runs it at every ratio-sample point.
 
 Failures raise :class:`repro.common.errors.VerificationError` and emit
@@ -49,22 +52,38 @@ def _fail(subject: str, violations: List[str], kind: str) -> None:
 # -- round-trip verification on insert -----------------------------------
 
 
-def verify_lbe_roundtrip(compressor, data: bytes, snapshot,
-                         compressed, cache: str) -> None:
-    """Check a committed LBE append decodes back to ``data``.
+def verify_lbe_commit(compressor, data: bytes, snapshot, state,
+                      bits: int, usage, cache: str) -> None:
+    """Check a committed LBE append against the symbol encoder.
 
-    ``snapshot`` is the log dictionary copied *before* the committing
-    ``compress`` call; decoding replays dictionary updates against it
-    exactly as a log replay from this entry's predecessor state would.
-    The symbol stream is also serialised to its exact bit encoding and
-    parsed back, which exercises the hardened bitstream path.
+    The commit walks the line without building symbols, so the check
+    encodes it with ``compress`` against ``snapshot``, the log
+    dictionary copied *before* the commit: the stream's size and its
+    bytes per symbol kind (key order included) must equal the commit's
+    ``bits`` and ``usage``.  The stream is then decoded against
+    ``snapshot``, which replays the dictionary updates exactly as a log
+    replay from this entry's predecessor state would: it must give back
+    ``data`` and leave the dictionary where the commit left ``state``.
+    Last, the stream is serialised to its exact bit encoding and parsed
+    back, which exercises the hardened bitstream path.
     """
     from repro.common.bitio import BitReader
 
     violations: List[str] = []
+    compressed = compressor.compress(data, snapshot, commit=False)
+    if compressed.size_bits != bits:
+        violations.append(f"LBE commit sized the line at {bits} bits, "
+                          f"its symbol stream at {compressed.size_bits}")
+    if list(compressed.kind_bytes().items()) != list(usage.items()):
+        violations.append(f"LBE commit counted {usage} bytes per symbol "
+                          f"kind, its symbol stream "
+                          f"{compressed.kind_bytes()}")
     decoded = compressor._decode_line(compressed, snapshot)
     if decoded != data:
         violations.append(_mismatch("LBE", decoded, data))
+    if snapshot._values != state._values:
+        violations.append("LBE commit left the log dictionary other than "
+                          "its symbol stream's decode does")
     writer = compressor.to_bitstream(compressed)
     reparsed = compressor.from_bitstream(
         BitReader.from_writer(writer, strict=True))
@@ -168,6 +187,12 @@ def _audit_morc(llc) -> List[str]:
                     f"log {log.index}: valid entry for line "
                     f"0x{entry.line_address:x} tracked by an invalid "
                     f"LMT entry")
+    dead_closed = sum(1 for index in llc._closed_fifo
+                      if llc.logs[index].all_invalid)
+    if dead_closed != llc._dead_closed:
+        violations.append(
+            f"{dead_closed} closed logs hold only dead lines but the "
+            f"cache counts {llc._dead_closed}")
     lmt_valid = llc.lmt.valid_count()
     if lmt_valid != tracked:
         violations.append(

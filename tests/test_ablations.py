@@ -44,8 +44,12 @@ class TestMorcCpackVariant:
         cache = MorcCache(8192, config=MorcConfig(n_active_logs=2),
                           algorithm="cpack")
         cache.fill(0, bytes(64))
-        entry = cache.logs[cache._active[0]].entries[0]
-        assert entry.compressed is None
+        log = cache.logs[cache._active[0]]
+        assert log.entries[0].data_bits > 0
+        # Per-line C-Pack keeps no log dictionary and counts no LBE
+        # symbols for Figure 7.
+        assert log.codec_state is None
+        assert not cache.symbol_usage and not cache.symbol_zero_usage
 
 
 class TestAblationHarness:

@@ -4,19 +4,28 @@ Every fill of a real trace replay is checked as it happens.  The trial
 offers exactly the active logs the oracle's size and the tag fit in
 (:meth:`Log.fits`), each with the oracle's size; the log it leads to is
 the one the literal placement rule of :mod:`repro.conformance.reference`
-picks from all-exact oracle trials of every active log; the committed
-symbol stream equals the oracle encoder's; and the chosen log's
-dictionary ends up exactly where the oracle leaves its copy.  Unit cases
-cover the dictionary freeze edge and the compressor's per-line plan
-cache.
+picks from all-exact oracle trials of every active log; the commit,
+which keeps no symbol stream, charges the oracle stream's clamped size
+and adds the oracle stream's bytes per symbol kind to Figure 7's
+counters; the production encoder's stream equals the oracle's; and the
+chosen log's dictionary ends up exactly where the oracle leaves its
+copy.  Unit cases cover the dictionary freeze edge and the compressor's
+per-line plan cache; the last ones check what a filled cache keeps.
 """
 
+import gc
 import random
 
 import pytest
 
 from repro.common.config import SystemConfig
-from repro.compression.lbe import DICT_CAPACITY, LbeCompressor, LbeDictionary
+from repro.compression.lbe import (
+    DICT_CAPACITY,
+    CompressedLine,
+    LbeCompressor,
+    LbeDictionary,
+    Symbol,
+)
 from repro.conformance.oracles import (
     reference_lbe_compress,
     reference_lbe_measure,
@@ -88,9 +97,28 @@ class OracleCheckedMorc(MorcCache):
         else:
             assert log is self._expected_log
         oracle_dictionary = log.codec_state.copy()
+        encoded = LbeCompressor().compress(data, log.codec_state,
+                                           commit=False)
         expected = reference_lbe_compress(data, oracle_dictionary)
+        assert encoded.symbols == expected.symbols
+        usage, zero_usage = (dict(self.symbol_usage),
+                             dict(self.symbol_zero_usage))
         entry = super()._commit_append(log, line_address, data)
-        assert entry.compressed.symbols == expected.symbols
+        assert entry.data_bits == min(expected.size_bits,
+                                      UNCOMPRESSED_LINE_BITS)
+        # Figure 7's counters grow by the oracle stream's bytes per kind,
+        # and a kind new to them joins in the stream's order.
+        kind_bytes = expected.kind_bytes()
+        assert {kind: total - usage.get(kind, 0)
+                for kind, total in self.symbol_usage.items()
+                if total != usage.get(kind, 0)} == kind_bytes
+        assert list(self.symbol_usage) == list(usage) + [
+            kind for kind in kind_bytes if kind not in usage]
+        assert {kind: total - zero_usage.get(kind, 0)
+                for kind, total in self.symbol_zero_usage.items()
+                if total != zero_usage.get(kind, 0)} == {
+            kind: size for kind, size in kind_bytes.items()
+            if kind.startswith("z")}
         assert log.codec_state._maps == oracle_dictionary._maps
         assert log.codec_state._values == oracle_dictionary._values
         self.commits += 1
@@ -198,3 +226,51 @@ def test_plan_cache_keys_on_content_not_identity():
                 == reference_lbe_measure(probe, warm))
         assert (compressor.compress(probe, cold, commit=False).symbols
                 == reference_lbe_compress(probe, cold, commit=False).symbols)
+
+
+# -- what a filled cache keeps ------------------------------------------
+
+
+def _filled_cache(program="gcc", instructions=4_000):
+    config = SystemConfig()
+    llc = MorcCache(16 * 1024, config=config.morc)
+    core = CoreSimulator(llc, MemoryChannel(config.memory), config)
+    for record in make_trace(program, instructions):
+        core.step(record)
+    return llc
+
+
+def _live(kinds):
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, kinds))
+
+
+def test_filled_cache_keeps_no_symbol_streams():
+    streams = (Symbol, CompressedLine)
+    before = _live(streams)
+    llc = _filled_cache()
+    assert llc.stats.get("compressions") > 100
+    assert sum(llc.symbol_usage.values()) > 0
+    # A commit builds no symbols, and a verified one drops the stream it
+    # checked against.
+    assert _live(streams) <= before
+
+
+def test_codec_state_only_for_logs_that_went_active():
+    config = SystemConfig()
+    llc = MorcCache(128 * 1024, config=config.morc)
+    for index in llc._free_pool:
+        assert llc.logs[index].codec_state is None
+        assert llc.logs[index].tag_stream is None
+    core = CoreSimulator(llc, MemoryChannel(config.memory), config)
+    for record in make_trace("mcf", 3_000):
+        core.step(record)
+    never_used = set(llc._free_pool)
+    assert never_used and len(never_used) < len(llc.logs)
+    for log in llc.logs:
+        if log.index in never_used:
+            assert log.codec_state is None and log.tag_stream is None
+            assert log.generation == 0 and not log.entries
+        else:
+            assert isinstance(log.codec_state, LbeDictionary)
+            assert log.tag_stream is not None

@@ -8,6 +8,7 @@ from repro.common.config import MorcConfig
 from repro.common.errors import CacheError
 from repro.compression.lbe import LbeCompressor, LbeDictionary
 from repro.morc.cache import MorcCache
+from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
 
 
 def small_cache(**overrides):
@@ -150,6 +151,34 @@ class TestLogLifecycle:
                 LbeCompressor().compress(entry.data, replay)
             assert log.codec_state._values == replay._values
 
+    def test_reuse_takes_the_oldest_all_dead_closed_log(self):
+        """Priority 1 reuses the all-dead closed log that closed first,
+        whatever order the closed logs' lines died in."""
+        cache = small_cache(n_active_logs=1)
+        address = 0
+        while len(cache._closed_fifo) < 3:
+            cache.fill(address * 64, random_line(address))
+            address += 1
+        first, second, third = (cache.logs[index]
+                                for index in cache._closed_fifo)
+        # Drop the third closed log's lines first, then the first's, as
+        # write-backs superseding them would, without appending.
+        for log in (third, first):
+            for entry in log.entries:
+                cache.lmt.release(entry.lmt_ref)
+                cache._invalidate(log, entry)
+        assert cache._dead_closed == 2 and not second.all_invalid
+        reused = []
+        while len(reused) < 2:
+            before = cache.stats.get("log_reuses")
+            cache.fill(address * 64, random_line(address))
+            address += 1
+            if cache.stats.get("log_reuses") > before:
+                reused.append(cache.logs[cache._active[0]])
+        assert [log.index for log in reused] == [first.index, third.index]
+        assert cache._dead_closed == 0
+        assert list(cache._closed_fifo)[0] == second.index
+
     def test_capacity_never_exceeded(self):
         cache = small_cache()
         for i in range(500):
@@ -256,9 +285,10 @@ class TestMerged:
 
 class TestDataIntegrity:
     def test_log_streams_decompress_to_stored_lines(self):
-        """End-to-end: every log's LBE stream replays to its entries'
+        """End-to-end: each log's entries, re-encoded in append order
+        against a fresh dictionary, cost the bits the cache charged and
+        leave the log's dictionary; the streams replay to the entries'
         data — the cache's bit-accounting corresponds to real symbols."""
-        from repro.compression.lbe import LbeCompressor
         cache = small_cache()
         rng = random.Random(7)
         pool = [bytes(rng.randrange(256) for _ in range(16))
@@ -271,8 +301,15 @@ class TestDataIntegrity:
         for log in cache.logs:
             if not log.entries:
                 continue
-            stream = [e.compressed for e in log.entries]
+            replay = LbeDictionary()
+            stream = [lbe.compress(entry.data, replay)
+                      for entry in log.entries]
+            assert [min(compressed.size_bits, UNCOMPRESSED_LINE_BITS)
+                    for compressed in stream] == [
+                entry.data_bits for entry in log.entries]
+            assert replay._values == log.codec_state._values
             decoded = lbe.decompress(stream)
+            assert len(decoded) == len(log.entries)
             for entry, data in zip(log.entries, decoded):
                 assert entry.data == data
                 checked += 1

@@ -6,14 +6,21 @@ it was, and equals the bits ``commit`` then charges against that state;
 bounded by a log's room, it reports the same size or "over".
 Checked on the line contents of real traces, the way the fill path calls
 the codec: trial against every active log, then commit to one of them.
+LBE's commit builds no symbols, so it is held to the symbol encoder
+here, and ``REPRO_VERIFY`` holds every commit of a run to it.
 """
 
 import itertools
 
 import pytest
 
-from repro.compression.lbe import CompressedLine, LbeDictionary
+from repro import settings
+from repro.common.config import MorcConfig
+from repro.common.errors import VerificationError
+from repro.common.words import LINE_SIZE
+from repro.compression.lbe import DICT_CAPACITY, LbeCompressor, LbeDictionary
 from repro.compression.lz import LzHistory
+from repro.morc.cache import MorcCache
 from repro.morc.codecs import UNCOMPRESSED_LINE_BITS, make_codecs
 from repro.workloads.spec import make_trace
 
@@ -59,12 +66,13 @@ def test_trial_is_pure_and_equals_commit(algorithm, program):
         assert [_contents(state) for state in states] == before
         assert all(0 <= bits <= UNCOMPRESSED_LINE_BITS for bits in trials)
         target = index % N_LOGS
-        bits, symbols = codec.commit(states[target], data, "contract")
+        bits, usage = codec.commit(states[target], data, "contract")
         assert bits == trials[target]
         if algorithm == "lbe":
-            assert isinstance(symbols, CompressedLine)
+            # Figure 7's bytes per kind cover the whole line.
+            assert sum(usage.values()) == LINE_SIZE
         else:
-            assert symbols is None
+            assert usage is None
         appended[target] += 1
         if appended[target] == LINES_PER_LOG:
             # The log closes; its reuse starts from a fresh state.
@@ -91,3 +99,70 @@ def test_unknown_algorithm_rejected():
     from repro.common.errors import CacheError
     with pytest.raises(CacheError, match="unknown MORC data algorithm"):
         make_codecs("bdi", tag_bases=2, verify=False)
+
+
+# -- LBE's commit against the symbol encoder ------------------------------
+
+
+@pytest.mark.parametrize("program", ["gcc", "mcf", "h264ref"])
+def test_lbe_commit_equals_the_symbol_encoder(program):
+    """The commit allocates what ``compress`` allocates and returns its
+    stream's size and bytes per kind, key order included, while the
+    dictionary fills up and after it freezes."""
+    lean, encoder = LbeCompressor(), LbeCompressor()
+    committed, encoded = LbeDictionary(), LbeDictionary()
+    for data in _trace_lines(program, 600):
+        bits, usage = lean.commit(data, committed)
+        compressed = encoder.compress(data, encoded)
+        assert bits == compressed.size_bits
+        assert list(usage.items()) == list(compressed.kind_bytes().items())
+        assert committed._maps == encoded._maps
+        assert committed._values == encoded._values
+    assert all(committed.entry_count(size) == capacity
+               for size, capacity in DICT_CAPACITY.items())
+
+
+@pytest.fixture
+def verified():
+    settings.configure(verify=True)
+    yield
+    settings.reset()
+
+
+def _slip_bits(commit):
+    def one_bit_off(self, line, dictionary):
+        bits, usage = commit(self, line, dictionary)
+        return bits + 1, usage
+    return one_bit_off
+
+
+def _slip_usage(commit):
+    def kinds_swapped(self, line, dictionary):
+        bits, usage = commit(self, line, dictionary)
+        return bits, dict(reversed(usage.items()))
+    return kinds_swapped
+
+
+def _slip_entry(commit):
+    def entry_dropped(self, line, dictionary):
+        result = commit(self, line, dictionary)
+        dictionary._maps[4].pop(dictionary._values[4].pop())
+        return result
+    return entry_dropped
+
+
+@pytest.mark.parametrize("slip, message", [
+    (_slip_bits, "sized the line"),
+    (_slip_usage, "bytes per symbol kind"),
+    (_slip_entry, "left the log dictionary"),
+], ids=["bits", "usage-order", "dictionary"])
+def test_verify_catches_a_lean_commit_slip(verified, monkeypatch, slip,
+                                           message):
+    cache = MorcCache(8 * 1024, config=MorcConfig(n_active_logs=2))
+    # Two literal words, a zero word and more: several kinds per line.
+    data = (bytes(range(1, 9)) + bytes(4) + b"\x00\x00\x00\x07") * 4
+    cache.fill(0, data)  # an honest commit passes
+    monkeypatch.setattr(LbeCompressor, "commit",
+                        slip(LbeCompressor.commit))
+    with pytest.raises(VerificationError, match=message):
+        cache.fill(64, bytes(reversed(data)))

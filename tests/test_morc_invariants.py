@@ -9,8 +9,9 @@ structural invariants that the architecture's correctness rests on:
   match; capacities are never exceeded.
 - Data coherence: a read hit returns exactly the bytes of the most
   recent fill/write-back for that address.
-- Log streams replay: each log's LBE symbol stream decompresses to the
-  entries' stored data.
+- Log streams replay: each log's entries, re-encoded in append order
+  against a fresh dictionary, cost the bits the cache charged and their
+  LBE stream decompresses to the entries' stored data.
 """
 
 import random
@@ -18,8 +19,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import MorcConfig
-from repro.compression.lbe import LbeCompressor
+from repro.compression.lbe import LbeCompressor, LbeDictionary
 from repro.morc.cache import MorcCache
+from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
 
 
 def _make_line(rng, pool):
@@ -53,8 +55,11 @@ def _drive(cache, seed, n_operations):
 
 
 def _check_structure(cache):
+    # Every log holds LBE lines: no soft errors, so no raw fallback.
+    assert cache.algorithm == "lbe" and not cache._raw_fallback
     lbe = LbeCompressor()
     total_valid = 0
+    replayed = 0
     for log in cache.logs:
         assert log.data_bits_used == sum(e.data_bits for e in log.entries)
         assert log.tag_bits_used == sum(e.tag_bits for e in log.entries)
@@ -75,12 +80,19 @@ def _check_structure(cache):
             assert lmt_entry.entry_ref is entry
             assert lmt_entry.line_address == entry.line_address
             assert lmt_entry.log_index == log.index
-        # the whole stream must replay (only for LBE-compressed logs)
-        if log.entries and all(e.compressed is not None
-                               for e in log.entries):
-            decoded = lbe.decompress([e.compressed for e in log.entries])
-            for entry, data in zip(log.entries, decoded):
-                assert entry.data == data
+        # the whole stream must replay, at the sizes the cache charged
+        if log.entries:
+            dictionary = LbeDictionary()
+            stream = [lbe.compress(entry.data, dictionary)
+                      for entry in log.entries]
+            for entry, compressed in zip(log.entries, stream):
+                assert entry.data_bits == min(compressed.size_bits,
+                                              UNCOMPRESSED_LINE_BITS)
+            assert dictionary._values == log.codec_state._values
+            decoded = lbe.decompress(stream)
+            assert decoded == [entry.data for entry in log.entries]
+            replayed += 1
+    assert replayed > 0
     assert total_valid == cache.lmt.valid_count()
 
 

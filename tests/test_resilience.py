@@ -406,6 +406,13 @@ class TestAuditor:
             res_verify.audit(cache)
         assert "data_bits_used" in str(excinfo.value)
 
+    def test_catches_a_miscounted_reusable_log(self):
+        cache = small_morc()
+        cache.fill(0, line(1))
+        cache._dead_closed += 1
+        with pytest.raises(VerificationError, match="only dead lines"):
+            res_verify.audit(cache)
+
     def test_catches_broken_segment_accounting(self):
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         cache.fill(0, bytes(64))
