@@ -92,8 +92,9 @@ del _kind, _prefix, _width
 #: aligned all-zero blocks per granularity, for fast zero tests
 _Z4, _Z8, _Z16, _Z32 = bytes(4), bytes(8), bytes(16), bytes(32)
 
-#: per-dictionary measure-memo capacity (content-keyed LRU)
-_MEASURE_MEMO_ENTRIES = 512
+#: dictionary capacities, one name per granularity, for the walks
+_CAP4, _CAP8, _CAP16, _CAP32 = (DICT_CAPACITY[4], DICT_CAPACITY[8],
+                                DICT_CAPACITY[16], DICT_CAPACITY[32])
 
 #: a limit no line reaches: an encoding is at most 16 u32 literals
 _NO_LIMIT = 1 << 30
@@ -129,14 +130,19 @@ class LbeDictionary:
     capacity is reached (the C-Pack discipline the paper builds on).
     """
 
-    __slots__ = ("_maps", "_values", "_memo")
+    __slots__ = ("_maps", "_values", "_tables")
 
     def __init__(self) -> None:
         self._maps: Dict[int, Dict[bytes, int]] = {g: {} for g in DICT_CAPACITY}
         self._values: Dict[int, List[bytes]] = {g: [] for g in DICT_CAPACITY}
-        # Content-keyed LRU of measure() results; any successful insert
-        # changes what later lines can match, so it must invalidate.
-        self._memo: Dict[bytes, int] = {}
+        self._alias_tables()
+
+    def _alias_tables(self) -> None:
+        """The walks' view of the four tables: the 4/8/16/32-byte maps,
+        then the same four value lists (the same objects, not copies)."""
+        maps, values = self._maps, self._values
+        self._tables = (maps[4], maps[8], maps[16], maps[32],
+                        values[4], values[8], values[16], values[32])
 
     def lookup(self, block: bytes) -> Optional[int]:
         """Index of ``block`` in its granularity's dictionary, or None."""
@@ -159,8 +165,6 @@ class LbeDictionary:
             return False
         table[block] = len(self._values[size])
         self._values[size].append(block)
-        if self._memo:
-            self._memo.clear()
         return True
 
     def entry_count(self, size: int) -> int:
@@ -172,7 +176,7 @@ class LbeDictionary:
         clone = LbeDictionary.__new__(LbeDictionary)
         clone._maps = {g: dict(m) for g, m in self._maps.items()}
         clone._values = {g: list(v) for g, v in self._values.items()}
-        clone._memo = dict(self._memo)
+        clone._alias_tables()
         return clone
 
 
@@ -211,6 +215,38 @@ _LITERAL_KIND = {_SYMBOL_BITS[kind]: kind for kind in _LITERAL_BITS}
 _U8_BITS, _U16_BITS, _U32_BITS = (_SYMBOL_BITS["u8"], _SYMBOL_BITS["u16"],
                                   _SYMBOL_BITS["u32"])
 
+#: the plan's node for an all-zero 256/128/64-bit block and for a zero
+#: word, shared by every plan
+_ZERO_BLOCK = (None, ())
+_ZERO_WORD = (None, 0)
+
+#: the smallest encoding of a 256-bit chunk in any dictionary: ``z256``
+#: for an all-zero chunk, else ``m256`` (any split costs more: its best
+#: case is a ``z128`` and an ``m128``)
+_ZERO_CHUNK_FLOOR = _SYMBOL_BITS["z256"]
+_CHUNK_FLOOR = _SYMBOL_BITS["m256"]
+
+
+def _quarter_node(quarter: bytes) -> tuple:
+    """A non-zero 64-bit block's plan node and its two word nodes."""
+    high, low = quarter[:4], quarter[4:]
+    return (quarter, (
+        _ZERO_WORD if high == _Z4 else
+        (high, _U32_BITS if high[0] or high[1] else
+         _U16_BITS if high[2] else _U8_BITS),
+        _ZERO_WORD if low == _Z4 else
+        (low, _U32_BITS if low[0] or low[1] else
+         _U16_BITS if low[2] else _U8_BITS)))
+
+
+def _half_node(half: bytes) -> tuple:
+    """A 128-bit block's plan node."""
+    if half == _Z16:
+        return _ZERO_BLOCK
+    low, high = half[:8], half[8:]
+    return (half, (_ZERO_BLOCK if low == _Z8 else _quarter_node(low),
+                   _ZERO_BLOCK if high == _Z8 else _quarter_node(high)))
+
 
 def _decompose(line: bytes) -> tuple:
     """Split a line into LBE's aligned 32/16/8/4-byte blocks, once.
@@ -221,72 +257,63 @@ def _decompose(line: bytes) -> tuple:
     never split, is recorded as ``None``; a 4-byte word's "children" is
     the width of the literal symbol it needs when nothing matches it
     (significance compression: ``u8``/``u16`` when its upper bytes are
-    zero, else ``u32``).
+    zero, else ``u32``).  Zero nodes are shared by every plan.
     """
-    tree = []
-    for chunk in (line[:32], line[32:]):
-        if chunk == _Z32:
-            tree.append((None, ()))
-            continue
-        halves = []
-        for half in (chunk[:16], chunk[16:]):
-            if half == _Z16:
-                halves.append((None, ()))
-                continue
-            quarters = []
-            for quarter in (half[:8], half[8:]):
-                if quarter == _Z8:
-                    quarters.append((None, ()))
-                    continue
-                words = []
-                for word in (quarter[:4], quarter[4:]):
-                    if word == _Z4:
-                        words.append((None, 0))
-                        continue
-                    if word[0] or word[1]:
-                        words.append((word, _U32_BITS))
-                    elif word[2]:
-                        words.append((word, _U16_BITS))
-                    else:
-                        words.append((word, _U8_BITS))
-                quarters.append((quarter, tuple(words)))
-            halves.append((half, tuple(quarters)))
-        tree.append((chunk, tuple(halves)))
-    return tuple(tree)
+    first, second = line[:32], line[32:]
+    return (
+        _ZERO_BLOCK if first == _Z32 else
+        (first, (_half_node(first[:16]), _half_node(first[16:]))),
+        _ZERO_BLOCK if second == _Z32 else
+        (second, (_half_node(second[:16]), _half_node(second[16:]))))
+
+
+def _plan_floor(tree: tuple) -> int:
+    """A lower bound on the plan's encoded size in any dictionary: each
+    chunk's smallest encoding."""
+    floor = 0
+    for chunk, _ in tree:
+        floor += _ZERO_CHUNK_FLOOR if chunk is None else _CHUNK_FLOOR
+    return floor
 
 
 def _measure_tree(tree: tuple, dictionary: LbeDictionary,
                   limit: int = _NO_LIMIT) -> Optional[int]:
     """Encoded size of a decomposed line, leaving ``dictionary`` untouched.
 
-    Entries the line would allocate are tracked in local sets: a literal
+    Entries the line would allocate are tracked in local dicts: a literal
     word is allocated at once, while the 64/128/256-bit blocks that
     failed to match are allocated only after their 256-bit chunk (paper
     §3.2.5), in the encoder's post-order, so capacity freezes on exactly
     the block the encoder freezes on.  Every size has its own table, so
-    the order across sizes does not matter.
+    the order across sizes does not matter.  A failed block is in no
+    table yet (that is why it failed), and the chunk's own failures are
+    kept apart until it ends, so each is allocated once and in order.
 
     The running count only grows, so the walk stops and returns None
     once it is over ``limit``; a size it does return is exact, and may
     still be over ``limit`` when the last blocks passed it.
     """
-    maps, values = dictionary._maps, dictionary._values
-    m4, m8, m16, m32 = maps[4], maps[8], maps[16], maps[32]
-    room4 = DICT_CAPACITY[4] - len(values[4])
-    room8 = DICT_CAPACITY[8] - len(values[8])
-    room16 = DICT_CAPACITY[16] - len(values[16])
-    room32 = DICT_CAPACITY[32] - len(values[32])
-    a4, a8, a16, a32 = set(), set(), set(), set()
+    m4, m8, m16, m32, v4, v8, v16, v32 = dictionary._tables
+    room4 = _CAP4 - len(v4)
+    room8 = _CAP8 - len(v8)
+    room16 = _CAP16 - len(v16)
+    room32 = _CAP32 - len(v32)
+    a4 = {}
+    a8 = {}
+    a16 = {}
+    a32 = {}
     bits = 0
-    last = len(tree) - 1
-    for position, (chunk, halves) in enumerate(tree):
+    # _decompose slices each chunk afresh, so only the last chunk is it
+    last = tree[-1][0]
+    for chunk, halves in tree:
         if chunk is None:
             bits += 5               # z256
             continue
         if chunk in m32 or chunk in a32:
             bits += 9               # m256
             continue
-        failed8, failed16 = [], []
+        failed8 = {}
+        failed16 = {}
         for half, quarters in halves:
             if half is None:
                 bits += 5           # z128
@@ -309,24 +336,26 @@ def _measure_tree(tree: tuple, dictionary: LbeDictionary,
                     else:
                         bits += literal_bits
                         if room4:
-                            a4.add(word)
+                            a4[word] = None
                             room4 -= 1
                 if bits > limit:
                     return None
-                failed8.append(quarter)
-            failed16.append(half)
-        if position == last:
+                failed8[quarter] = None
+            failed16[half] = None
+        if chunk is last:
             break                   # no later chunk can match these
         for quarter in failed8:
-            if room8 and quarter not in a8:
-                a8.add(quarter)
-                room8 -= 1
+            if not room8:
+                break
+            a8[quarter] = None
+            room8 -= 1
         for half in failed16:
-            if room16 and half not in a16:
-                a16.add(half)
-                room16 -= 1
+            if not room16:
+                break
+            a16[half] = None
+            room16 -= 1
         if room32:
-            a32.add(chunk)
+            a32[chunk] = None
             room32 -= 1
     return bits
 
@@ -350,7 +379,6 @@ def _encode_tree(tree: tuple, dictionary: LbeDictionary
                                         _MATCH_SYMBOLS[32])
     zero4, zero8, zero16, zero32 = (_ZERO_SYMBOL[4], _ZERO_SYMBOL[8],
                                     _ZERO_SYMBOL[16], _ZERO_SYMBOL[32])
-    entries_before = len(v4) + len(v8) + len(v16) + len(v32)
     symbols: List[Symbol] = []
     emit = symbols.append
     for chunk, halves in tree:
@@ -406,8 +434,6 @@ def _encode_tree(tree: tuple, dictionary: LbeDictionary
         if len(v32) < cap32:
             m32[chunk] = len(v32)
             v32.append(chunk)
-    if len(v4) + len(v8) + len(v16) + len(v32) != entries_before:
-        dictionary._memo.clear()
     return tuple(symbols)
 
 
@@ -417,14 +443,13 @@ def _commit_tree(tree: tuple, dictionary: LbeDictionary) -> Dict[str, int]:
     The walk of :func:`_encode_tree`, allocating the same entries in the
     same order, that counts the symbols it would emit per kind instead;
     the counts are keyed in order of first appearance, the stream's.
+    A chunk's failed coarse blocks are collected in dicts, which keep
+    the first of any repeats in order, as the encoder's membership test
+    does (none of them is in a table before the chunk ends).
     """
-    maps, values = dictionary._maps, dictionary._values
-    m4, m8, m16, m32 = maps[4], maps[8], maps[16], maps[32]
-    v4, v8, v16, v32 = values[4], values[8], values[16], values[32]
-    cap4, cap8, cap16, cap32 = (DICT_CAPACITY[4], DICT_CAPACITY[8],
-                                DICT_CAPACITY[16], DICT_CAPACITY[32])
+    m4, m8, m16, m32, v4, v8, v16, v32 = dictionary._tables
+    n4, n8, n16, n32 = len(v4), len(v8), len(v16), len(v32)
     literal_kind = _LITERAL_KIND
-    entries_before = len(v4) + len(v8) + len(v16) + len(v32)
     counts: Dict[str, int] = defaultdict(int)
     for chunk, halves in tree:
         if chunk is None:
@@ -433,7 +458,8 @@ def _commit_tree(tree: tuple, dictionary: LbeDictionary) -> Dict[str, int]:
         if chunk in m32:
             counts["m256"] += 1
             continue
-        failed8, failed16 = [], []
+        failed8 = {}
+        failed16 = {}
         for half, quarters in halves:
             if half is None:
                 counts["z128"] += 1
@@ -455,24 +481,28 @@ def _commit_tree(tree: tuple, dictionary: LbeDictionary) -> Dict[str, int]:
                         counts["m32"] += 1
                     else:
                         counts[literal_kind[literal_bits]] += 1
-                        if len(v4) < cap4:
-                            m4[word] = len(v4)
+                        if n4 < _CAP4:
+                            m4[word] = n4
                             v4.append(word)
-                failed8.append(quarter)
-            failed16.append(half)
+                            n4 += 1
+                failed8[quarter] = None
+            failed16[half] = None
         for quarter in failed8:
-            if quarter not in m8 and len(v8) < cap8:
-                m8[quarter] = len(v8)
-                v8.append(quarter)
+            if n8 == _CAP8:
+                break
+            m8[quarter] = n8
+            v8.append(quarter)
+            n8 += 1
         for half in failed16:
-            if half not in m16 and len(v16) < cap16:
-                m16[half] = len(v16)
-                v16.append(half)
-        if len(v32) < cap32:
-            m32[chunk] = len(v32)
+            if n16 == _CAP16:
+                break
+            m16[half] = n16
+            v16.append(half)
+            n16 += 1
+        if n32 < _CAP32:
+            m32[chunk] = n32
             v32.append(chunk)
-    if len(v4) + len(v8) + len(v16) + len(v32) != entries_before:
-        dictionary._memo.clear()
+            n32 += 1
     return counts
 
 
@@ -481,7 +511,8 @@ class LbeCompressor:
 
     MORC measures each fill against every active log and then commits it
     to one, so the line's block decomposition is computed once and kept
-    in a one-entry cache keyed by the line's content (:meth:`_plan_for`).
+    in a one-entry cache keyed by the line's content, with the plan's
+    size floor (:meth:`_plan_for`).
     """
 
     name = "lbe"
@@ -489,6 +520,7 @@ class LbeCompressor:
     def __init__(self) -> None:
         self._line: Optional[bytes] = None
         self._plan: tuple = ()
+        self._floor = 0
 
     def _plan_for(self, line: bytes) -> Tuple[bytes, tuple]:
         """The validated line and its block plan (:func:`_decompose`),
@@ -496,6 +528,7 @@ class LbeCompressor:
         if line != self._line:
             line = check_line(line)
             self._plan = _decompose(line)
+            self._floor = _plan_floor(self._plan)
             self._line = line
         return self._line, self._plan
 
@@ -544,26 +577,17 @@ class LbeCompressor:
         A size is guaranteed equal to ``compress(line, dictionary,
         commit=False).size_bits``.  Multi-log trial placement calls this
         on the active logs for every fill, so it walks the cached block
-        plan with membership tests only, behind a content-keyed LRU memo
-        per dictionary (cross-line duplication makes repeats common).
-        With a ``limit`` the walk stops once it passes it; a stopped walk
-        knows no size, so it is never memoized.
+        plan with membership tests only.  With a ``limit`` the walk
+        stops once it passes it, and a limit below the plan's floor (its
+        chunks' smallest encodings) needs no walk at all.
         """
-        line, plan = self._plan_for(line)
-        memo = dictionary._memo
-        bits = memo.get(line)
-        if bits is not None:
-            del memo[line]
-            memo[line] = bits  # LRU refresh
-        else:
-            bits = _measure_tree(plan, dictionary,
-                                 _NO_LIMIT if limit is None else limit)
-            if bits is None:
-                return None
-            if len(memo) >= _MEASURE_MEMO_ENTRIES:
-                del memo[next(iter(memo))]
-            memo[line] = bits
-        if limit is not None and bits > limit:
+        _, plan = self._plan_for(line)
+        if limit is None:
+            return _measure_tree(plan, dictionary)
+        if limit < self._floor:
+            return None
+        bits = _measure_tree(plan, dictionary, limit)
+        if bits is None or bits > limit:
             return None
         return bits
 

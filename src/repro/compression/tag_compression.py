@@ -31,7 +31,7 @@ least-recently-used tracked base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common.config import PHYSICAL_ADDRESS_BITS
 from repro.common.errors import CompressionError
@@ -88,8 +88,7 @@ def decode_distance(code: int, precision_value: int) -> int:
     return first + precision_value
 
 
-@dataclass(frozen=True)
-class TagToken:
+class TagToken(NamedTuple):
     """One encoded tag: either a delta or a new base."""
 
     kind: str  # "delta" | "new_base" | "raw" (uncompressed, MORC-Raw)
@@ -141,31 +140,39 @@ class TagCompressor:
         return TagStream(n_bases=self.n_bases)
 
     def append(self, stream: TagStream, line_address: int) -> TagToken:
-        """Encode ``line_address`` (address // 64) onto ``stream``."""
+        """Encode ``line_address`` (address // 64) onto ``stream``.
+
+        Each base is sized by :meth:`measure`'s rule; the first of the
+        smallest deltas wins, else a new base replaces the least
+        recently used one.
+        """
         if line_address < 0:
             raise CompressionError("line address must be non-negative")
-        best: Optional[TagToken] = None
-        for slot, base in enumerate(stream.bases):
-            if base is None:
-                continue
-            delta = line_address - base
-            if delta == 0 or abs(delta) > MAX_DISTANCE:
-                continue
-            code, extra, value = distance_code(abs(delta))
-            size = self._delta_base_bits + extra
-            token = TagToken("delta", slot, size, code=code,
-                             sign=1 if delta < 0 else 0,
-                             precision_value=value)
-            if best is None or token.size_bits < best.size_bits:
-                best = token
-        if best is None:
-            slot = stream.lru[0]  # least recently used
-            best = TagToken("new_base", slot, self._new_base_bits,
-                            line_address=line_address)
-        self._apply(stream, best, line_address)
-        stream.total_bits += best.size_bits
+        best_slot = -1
+        best_extra = best_delta = 0
+        slot = 0
+        for base in stream.bases:
+            if base is not None:
+                delta = line_address - base
+                distance = delta if delta > 0 else -delta
+                if 0 < distance <= MAX_DISTANCE:
+                    extra = (distance - 1).bit_length() - 2
+                    if extra < 0:
+                        extra = 0
+                    if best_slot < 0 or extra < best_extra:
+                        best_slot, best_extra, best_delta = slot, extra, delta
+            slot += 1
+        if best_slot < 0:
+            token = TagToken("new_base", stream.lru[0], self._new_base_bits,
+                             line_address=line_address)
+        else:
+            code, extra, value = distance_code(abs(best_delta))
+            token = TagToken("delta", best_slot, self._delta_base_bits + extra,
+                             code, 1 if best_delta < 0 else 0, value)
+        self._apply(stream, token, line_address)
+        stream.total_bits += token.size_bits
         stream.n_tags += 1
-        return best
+        return token
 
     @staticmethod
     def _apply(stream: TagStream, token: TagToken, line_address: int) -> None:
@@ -182,13 +189,14 @@ class TagCompressor:
             distance = abs(line_address - base)
             if distance == 0 or distance > MAX_DISTANCE:
                 continue
-            # precision bits of distance_code(distance), in O(1)
-            bits = max(0, (distance - 1).bit_length() - 2)
+            # precision bits of distance_code(distance) in O(1), before
+            # the clamp at 0 (which commutes with the min)
+            bits = (distance - 1).bit_length() - 2
             if extra is None or bits < extra:
                 extra = bits
         if extra is None:
             return self._new_base_bits
-        return self._delta_base_bits + extra
+        return self._delta_base_bits + (extra if extra > 0 else 0)
 
     def decode(self, tokens: List[TagToken]) -> List[int]:
         """Replay a token stream back into the appended line addresses."""

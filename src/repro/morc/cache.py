@@ -61,6 +61,11 @@ class MorcCache(LLCInterface):
             raise CacheError("capacity must divide into whole logs")
         self.capacity_bytes = capacity_bytes
         self.base_latency_cycles = base_latency_cycles
+        # A miss carries no data, so every miss shares one result; an
+        # aliased one pays the tag decode that disproved the alias.
+        self._miss = ReadResult(False, float(base_latency_cycles))
+        self._aliased_miss = ReadResult(False, base_latency_cycles + 4.0,
+                                        aliased_miss=True)
         self.decompress_bytes_per_cycle = decompress_bytes_per_cycle
         self.tag_decode_tags_per_cycle = tag_decode_tags_per_cycle
         self.name = "MORCMerged" if cfg.merged_tags else "MORC"
@@ -126,12 +131,10 @@ class MorcCache(LLCInterface):
         lmt_entry, aliased = self.lmt.lookup(line_address)
         if lmt_entry is None:
             self.stats.add("read_misses")
-            latency = float(self.base_latency_cycles)
             if aliased:
-                # The tag check that disproved the alias costs a decode.
                 self.stats.add("aliased_misses")
-                latency += 4
-            return ReadResult(False, latency, aliased_miss=aliased)
+                return self._aliased_miss
+            return self._miss
         log_entry: LogEntry = lmt_entry.entry_ref
         if log_entry.poison_bit is not None:
             # The decoder runs (and fails) over the log prefix, so the

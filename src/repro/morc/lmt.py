@@ -40,7 +40,7 @@ class LmtState(enum.Enum):
     MODIFIED = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class LmtEntry:
     """One LMT entry: state + log index (+ shadow line address)."""
 

@@ -24,7 +24,7 @@ from repro.common.words import LINE_SIZE
 from repro.compression.tag_compression import TagStream
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     """One appended cache line inside a log."""
 
@@ -46,7 +46,7 @@ class LogEntry:
         return (self.position + 1) * LINE_SIZE
 
 
-@dataclass
+@dataclass(slots=True)
 class Log:
     """A fixed-size, append-only compressed region."""
 

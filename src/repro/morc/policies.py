@@ -10,14 +10,12 @@ spreading distinct data across logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.morc.log import Log
 
 
-@dataclass(frozen=True)
-class PlacementCandidate:
+class PlacementCandidate(NamedTuple):
     """An active log a line fits in, with its trial-compression outcome."""
 
     log: Log
@@ -42,15 +40,25 @@ def choose_log(candidates: List[PlacementCandidate],
     every line and defeats segregation.  When all candidates compress
     within ``fudge_factor`` of each other, the least-used (most free
     space) log wins; otherwise the smallest encoding wins.  Ties go to
-    the earliest candidate.
+    the earliest candidate.  One pass finds the smallest, the largest
+    and the least-used candidate.
     """
     if not candidates:
         return None
-    best = min(candidates, key=lambda c: c.data_bits)
-    worst = max(candidates, key=lambda c: c.data_bits)
-    if worst.data_bits == 0:
+    best = roomiest = candidates[0]
+    low = high = best.data_bits
+    most_free = best.log.free_data_bits
+    for candidate in candidates:
+        bits = candidate.data_bits
+        if bits < low:
+            best, low = candidate, bits
+        elif bits > high:
+            high = bits
+        free = candidate.log.free_data_bits
+        if free > most_free:
+            roomiest, most_free = candidate, free
+    if high == 0:
         return best
-    spread = (worst.data_bits - best.data_bits) / worst.data_bits
-    if spread <= fudge_factor:
-        return max(candidates, key=lambda c: c.log.free_data_bits)
+    if (high - low) / high <= fudge_factor:
+        return roomiest
     return best

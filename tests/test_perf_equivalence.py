@@ -46,15 +46,18 @@ def test_lbe_measure_matches_reference(archetype):
             reference_lbe_compress(line, reference_dict, commit=True)
 
 
-def test_lbe_measure_memo_matches_recompute():
+def test_lbe_repeated_measures_match_the_oracle():
     compressor = LbeCompressor()
     dictionary = LbeDictionary()
     lines = mixed_stream(count=64)
     first = [compressor.measure(line, dictionary) for line in lines]
-    # Second pass hits the memo; values must be identical.
-    assert [compressor.measure(line, dictionary)
-            for line in lines] == first
-    # Committing a line invalidates the memo; measures stay correct.
+    assert first == [reference_lbe_measure(line, dictionary)
+                     for line in lines]
+    # A second pass, and a repeat of each line, measure the same.
+    for line, bits in zip(lines, first):
+        assert compressor.measure(line, dictionary) == bits
+        assert compressor.measure(line, dictionary) == bits
+    # After a commit grows the dictionary, every measure follows it.
     compressor.compress(lines[0], dictionary, commit=True)
     for line in lines:
         assert (compressor.measure(line, dictionary)

@@ -21,8 +21,8 @@ MORC's bounded LBE trial
 (:meth:`~repro.compression.lbe.LbeCompressor.measure` with a ``limit``)
 must equal the seed oracle (:func:`repro.conformance.oracles.
 reference_lbe_measure`) whenever that size is within the limit, report
-"over" (None) otherwise, and never leave a stopped walk's partial count
-in its memo.  The limit it gets is a log's
+"over" (None) otherwise, also when a limit below the plan's floor
+skips the walk.  The limit it gets is a log's
 :meth:`~repro.morc.log.Log.data_room`, which must agree with the
 reference's literal fit rule in every layout.
 """
@@ -333,10 +333,8 @@ def assert_bounded_measure_exact(line: bytes,
     compressor = LbeCompressor()
     exact = reference_lbe_measure(line, dictionary)
     for limit in range(UNCOMPRESSED_LINE_BITS + 1):
-        dictionary._memo.clear()
         bounded = compressor.measure(line, dictionary, limit)
         assert bounded == (exact if exact <= limit else None), limit
-        # Whatever the bounded walk left in the memo is exact.
         assert compressor.measure(line, dictionary) == exact
         assert compressor.measure(line, dictionary, limit) == bounded
 
@@ -370,7 +368,6 @@ def test_lbe_bounded_walk_stops_early():
     assert _measure_tree(plan, dictionary, 16 * 34) == 16 * 34
     compressor = LbeCompressor()
     assert compressor.measure(line, dictionary, 100) is None
-    assert line not in dictionary._memo
 
 
 #: (data capacity, tag capacity, merged): separate, merged and unlimited
