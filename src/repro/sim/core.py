@@ -151,12 +151,15 @@ class CoreSimulator:
 
 
 def restart_shared_stats(llc: LLCInterface, memory: MemoryChannel) -> None:
-    """Restart the shared LLC's and channel's statistics at the boundary."""
+    """Restart the shared LLC's and channel's statistics at the boundary,
+    MORC's Figure 14 histogram and Figure 7 symbol counters included."""
     llc.stats.reset()
     memory.stats.reset()
-    histogram = getattr(llc, "latency_bytes_histogram", None)
-    if histogram is not None:
-        histogram.clear()
+    for name in ("latency_bytes_histogram", "symbol_usage",
+                 "symbol_zero_usage"):
+        counter = getattr(llc, name, None)
+        if counter is not None:
+            counter.clear()
     channel = obs_trace.RUN
     if channel is not None:
         # Lets the trace summariser discard warm-up ratio samples,

@@ -9,7 +9,7 @@ from repro.morc.cache import MorcCache
 from repro.common.config import MorcConfig
 from repro.sim.core import CoreSimulator, restart_shared_stats
 from repro.sim.multicore import MultiCoreSystem
-from repro.sim.system import ALL_SCHEMES, make_llc
+from repro.sim.system import ALL_SCHEMES, make_llc, run_single_program
 from repro.workloads.spec import make_trace
 from repro.workloads.trace import TraceRecord
 
@@ -209,6 +209,15 @@ class TestWarmup:
         restart_shared_stats(llc, memory)
         assert not llc.latency_bytes_histogram
         assert memory.stats.get("reads") == 0
+
+    def test_morc_symbol_usage_covers_only_measured_fills(self):
+        """Figure 7's bytes per symbol kind restart with the LLC stats:
+        each measured LBE compression accounts for one 64-byte line."""
+        result = run_single_program("gcc", "MORC", n_instructions=20_000,
+                                    warmup_fraction=0.4)
+        compressions = result.llc_stats["compressions"]
+        assert compressions > 0
+        assert sum(result.symbol_counters.values()) == 64 * compressions
 
 
 class TestSampling:
