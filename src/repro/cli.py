@@ -156,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("-c", "--component", action="append",
                               default=None, dest="components",
                               help="restrict to a component (repeatable): "
-                                   "policies, set-caches, morc, "
-                                   "channels, metrics")
+                                   "set-caches, morc, channels, metrics")
 
     obs_parser = subparsers.add_parser(
         "obs", help="summarise a JSONL observability trace")

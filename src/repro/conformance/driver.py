@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.replacement import FifoPolicy, LruPolicy
 from repro.cache.set_assoc import (
     DecoupledCache,
     SetAssociativeCache,
@@ -133,53 +132,6 @@ class _Recorder:
             field_name, expected, actual, context))
         self.diverged = True
         return False
-
-
-# -- replacement policies ------------------------------------------------------
-
-
-def _check_policies(result: ComponentResult, seeds: Sequence[int],
-                    n_ops: int) -> None:
-    pairs = (("lru", LruPolicy, ref.RefLruPolicy),
-             ("fifo", FifoPolicy, ref.RefFifoPolicy))
-    for name, prod_cls, ref_cls in pairs:
-        for seed in seeds:
-            recorder = _Recorder(result, name, seed)
-            rng = random.Random(0xC0FFEE ^ seed)
-            prod, gold = prod_cls(), ref_cls()
-            result.streams += 1
-            for step in range(n_ops):
-                key = rng.randrange(24)
-                op = rng.random()
-                if op < 0.45:
-                    prod.insert(key)
-                    gold.insert(key)
-                elif op < 0.70:
-                    prod_err = _touch_raises(prod, key)
-                    gold_err = _touch_raises(gold, key)
-                    recorder.expect(step, "touch_raises", gold_err,
-                                    prod_err, f"key={key}")
-                elif op < 0.85:
-                    prod.remove(key)
-                    gold.remove(key)
-                else:
-                    if len(gold):
-                        recorder.expect(step, "victim", gold.victim(),
-                                        prod.victim())
-                recorder.expect(step, "len", len(gold), len(prod))
-                recorder.expect(step, "contains", key in gold, key in prod,
-                                f"key={key}")
-                result.steps += 1
-                if recorder.diverged:
-                    break
-
-
-def _touch_raises(policy, key) -> bool:
-    try:
-        policy.touch(key)
-    except LookupError:
-        return True
-    return False
 
 
 # -- cache replay --------------------------------------------------------------
@@ -449,11 +401,9 @@ def run_check(deep: bool = False,
     morc_ops = 500 if deep else 260
     channel_ops = 600 if deep else 300
     metric_cases = 120 if deep else 40
-    policy_ops = 600 if deep else 250
 
     report = ConformanceReport(deep=deep, seeds=seeds)
     checks: Dict[str, Callable[[ComponentResult], None]] = {
-        "policies": lambda r: _check_policies(r, seeds, policy_ops),
         "set-caches": lambda r: _check_set_caches(r, seeds, mixes,
                                                   cache_ops),
         "morc": lambda r: _check_morc(r, seeds, mixes, morc_ops),
@@ -470,4 +420,4 @@ def run_check(deep: bool = False,
     return report
 
 
-ALL_COMPONENTS = ("policies", "set-caches", "morc", "channels", "metrics")
+ALL_COMPONENTS = ("set-caches", "morc", "channels", "metrics")

@@ -43,72 +43,6 @@ UNCOMPRESSED_LINE_BITS = LINE_SIZE * 8
 UNCOMPRESSED_TAG_BITS = FULL_TAG_BITS + VALID_BITS
 
 
-# -- replacement policies ------------------------------------------------------
-
-
-class RefLruPolicy:
-    """Perfect LRU over a plain list: front = victim, back = most recent."""
-
-    def __init__(self) -> None:
-        self._keys: List = []
-
-    def insert(self, key) -> None:
-        if key in self._keys:
-            self._keys.remove(key)
-        self._keys.append(key)
-
-    def touch(self, key) -> None:
-        if key not in self._keys:
-            raise LookupError(f"reference LRU: {key!r} not resident")
-        self._keys.remove(key)
-        self._keys.append(key)
-
-    def remove(self, key) -> None:
-        if key in self._keys:
-            self._keys.remove(key)
-
-    def victim(self):
-        if not self._keys:
-            raise LookupError("no candidate to evict")
-        return self._keys[0]
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key) -> bool:
-        return key in self._keys
-
-
-class RefFifoPolicy:
-    """First-in-first-out over a plain list; uses never reorder."""
-
-    def __init__(self) -> None:
-        self._keys: List = []
-
-    def insert(self, key) -> None:
-        if key not in self._keys:
-            self._keys.append(key)
-
-    def touch(self, key) -> None:
-        if key not in self._keys:
-            raise LookupError(f"reference FIFO: {key!r} not resident")
-
-    def remove(self, key) -> None:
-        if key in self._keys:
-            self._keys.remove(key)
-
-    def victim(self):
-        if not self._keys:
-            raise LookupError("no candidate to evict")
-        return self._keys[0]
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key) -> bool:
-        return key in self._keys
-
-
 # -- set-associative cache -----------------------------------------------------
 
 
