@@ -303,7 +303,7 @@ def _measure_tree(tree: tuple, dictionary: LbeDictionary,
     a16 = {}
     a32 = {}
     bits = 0
-    # _decompose slices each chunk afresh, so only the last chunk is it
+    # each chunk is its own slice of the line, so identity finds the last
     last = tree[-1][0]
     for chunk, halves in tree:
         if chunk is None:

@@ -61,13 +61,13 @@ class MorcCache(LLCInterface):
             raise CacheError("capacity must divide into whole logs")
         self.capacity_bytes = capacity_bytes
         self.base_latency_cycles = base_latency_cycles
+        self.decompress_bytes_per_cycle = decompress_bytes_per_cycle
+        self.tag_decode_tags_per_cycle = tag_decode_tags_per_cycle
         # A miss carries no data, so every miss shares one result; an
         # aliased one pays the tag decode that disproved the alias.
         self._miss = ReadResult(False, float(base_latency_cycles))
         self._aliased_miss = ReadResult(False, base_latency_cycles + 4.0,
                                         aliased_miss=True)
-        self.decompress_bytes_per_cycle = decompress_bytes_per_cycle
-        self.tag_decode_tags_per_cycle = tag_decode_tags_per_cycle
         self.name = "MORCMerged" if cfg.merged_tags else "MORC"
 
         n_logs = capacity_bytes // cfg.log_size_bytes
