@@ -38,7 +38,8 @@ from repro.experiments import (
     table1,
     table4,
 )
-from repro.sim.system import ALL_SCHEMES, MORC_VARIANTS, run_single_program
+from repro.sim import schemes
+from repro.sim.system import run_single_program
 from repro.sim.throughput import coarse_grain_throughput
 from repro.workloads.mixes import ALL_MULTI_WORKLOADS
 from repro.workloads.spec import ALL_SINGLE_PROGRAMS
@@ -63,9 +64,6 @@ EXPERIMENTS = {
     "variance": variance,
 }
 
-RUNNABLE_SCHEMES = ALL_SCHEMES + ("Skewed", "Uncompressed8x") + tuple(
-    scheme for scheme in MORC_VARIANTS if scheme not in ALL_SCHEMES)
-
 
 def positive_int(text: str) -> int:
     """argparse type for ``-n/--instructions``: an integer >= 1."""
@@ -84,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser(
         "run", help="simulate one benchmark under one scheme")
     run_parser.add_argument("benchmark")
-    run_parser.add_argument("scheme", choices=RUNNABLE_SCHEMES)
+    run_parser.add_argument("scheme", choices=schemes.NAMES)
     run_parser.add_argument("-n", "--instructions", type=positive_int,
                             default=120_000)
     run_parser.add_argument("--bandwidth-mb", type=float, default=100.0,
@@ -228,7 +226,7 @@ def _command_experiment(name: str, args: argparse.Namespace) -> int:
 
 def _command_list() -> int:
     print("schemes:")
-    for scheme in RUNNABLE_SCHEMES:
+    for scheme in schemes.NAMES:
         print(f"  {scheme}")
     print("\nexperiments:")
     for name in EXPERIMENTS:

@@ -23,9 +23,9 @@ from repro.experiments.runner import (
     geomean,
     scale_instructions,
 )
+from repro.sim.system import COMPRESSED_SCHEMES
 from repro.sim.throughput import coarse_grain_throughput
 
-SCHEMES = ("Adaptive", "Decoupled", "SC2", "MORC")
 BANDWIDTHS_MB_S = (1600.0, 400.0, 100.0, 12.5)
 
 #: a bandwidth-sensitive subset keeps the 4-point x 5-scheme sweep
@@ -46,7 +46,7 @@ class FigureTenResult:
 def run(benchmarks: Optional[Sequence[str]] = None,
         bandwidths_mb_s: Sequence[float] = BANDWIDTHS_MB_S,
         n_instructions: Optional[int] = None,
-        schemes: Sequence[str] = SCHEMES,
+        schemes: Sequence[str] = COMPRESSED_SCHEMES,
         engine: Optional[EngineOptions] = None) -> FigureTenResult:
     benchmarks = list(benchmarks or SWEEP_BENCHMARKS)
     if n_instructions is None:

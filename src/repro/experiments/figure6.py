@@ -21,11 +21,8 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.sim.system import SingleRunResult
+from repro.sim.system import ALL_SCHEMES, COMPRESSED_SCHEMES, SingleRunResult
 from repro.sim.throughput import ipc_improvement, throughput_improvement
-
-SCHEMES = ("Uncompressed", "Adaptive", "Decoupled", "SC2", "MORC")
-COMPRESSED = ("Adaptive", "Decoupled", "SC2", "MORC")
 
 
 @dataclass
@@ -38,17 +35,17 @@ class FigureSixResult:
 
     def ratio_series(self) -> Dict[str, List[float]]:
         return {scheme: [run.compression_ratio for run in self.runs[scheme]]
-                for scheme in COMPRESSED}
+                for scheme in COMPRESSED_SCHEMES}
 
     def bandwidth_series(self) -> Dict[str, List[float]]:
         return {scheme: [run.bandwidth_gb for run in self.runs[scheme]]
-                for scheme in SCHEMES}
+                for scheme in ALL_SCHEMES}
 
     def ipc_improvement_series(self) -> Dict[str, List[float]]:
         baseline = self.runs["Uncompressed"]
         return {scheme: [ipc_improvement(run.metrics, base.metrics)
                          for run, base in zip(self.runs[scheme], baseline)]
-                for scheme in COMPRESSED}
+                for scheme in COMPRESSED_SCHEMES}
 
     def throughput_improvement_series(self,
                                       threads: int = 4,
@@ -57,13 +54,13 @@ class FigureSixResult:
         return {scheme: [throughput_improvement(run.metrics, base.metrics,
                                                 threads)
                          for run, base in zip(self.runs[scheme], baseline)]
-                for scheme in COMPRESSED}
+                for scheme in COMPRESSED_SCHEMES}
 
 
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,
-        schemes: Sequence[str] = SCHEMES,
+        schemes: Sequence[str] = ALL_SCHEMES,
         engine: Optional[EngineOptions] = None) -> FigureSixResult:
     """Run every (benchmark, scheme) pair of Figure 6, in parallel."""
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)

@@ -22,11 +22,10 @@ from repro.experiments.runner import (
     DEFAULT_MULTI_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.sim.system import MultiProgramResult
+from repro.sim.system import (ALL_SCHEMES, COMPRESSED_SCHEMES,
+                               MultiProgramResult)
 from repro.workloads.mixes import ALL_MULTI_WORKLOADS
 
-SCHEMES = ("Uncompressed", "Adaptive", "Decoupled", "SC2", "MORC")
-COMPRESSED = ("Adaptive", "Decoupled", "SC2", "MORC")
 #: one mixed + two same-program sets keep the default bench minutes-level;
 #: REPRO_BENCH_FULL runs all twelve Table 6 workloads
 DEFAULT_MIXES = ("M3", "S2", "S7")
@@ -41,12 +40,12 @@ class FigureEightResult:
 
     def ratio_series(self) -> Dict[str, List[float]]:
         return {scheme: [run.compression_ratio for run in self.runs[scheme]]
-                for scheme in COMPRESSED}
+                for scheme in COMPRESSED_SCHEMES}
 
     def bandwidth_reduction_series(self) -> Dict[str, List[float]]:
         baseline = self.runs["Uncompressed"]
         series: Dict[str, List[float]] = {}
-        for scheme in COMPRESSED:
+        for scheme in COMPRESSED_SCHEMES:
             values = []
             for run, base in zip(self.runs[scheme], baseline):
                 if base.total_offchip_bytes == 0:
@@ -63,7 +62,7 @@ class FigureEightResult:
             (run.geomean_ipc / base.geomean_ipc - 1.0) * 100.0
             if base.geomean_ipc else 0.0
             for run, base in zip(self.runs[scheme], baseline)]
-            for scheme in COMPRESSED}
+            for scheme in COMPRESSED_SCHEMES}
 
     def completion_improvement_series(self) -> Dict[str, List[float]]:
         baseline = self.runs["Uncompressed"]
@@ -71,13 +70,13 @@ class FigureEightResult:
             (base.completion_cycles / run.completion_cycles - 1.0) * 100.0
             if run.completion_cycles else 0.0
             for run, base in zip(self.runs[scheme], baseline)]
-            for scheme in COMPRESSED}
+            for scheme in COMPRESSED_SCHEMES}
 
 
 def run(mixes: Optional[Sequence[str]] = None,
         n_instructions_each: Optional[int] = None,
         config: Optional[SystemConfig] = None,
-        schemes: Sequence[str] = SCHEMES,
+        schemes: Sequence[str] = ALL_SCHEMES,
         engine: Optional[EngineOptions] = None) -> FigureEightResult:
     """Run the multi-program workloads under every scheme, in parallel."""
     mixes = list(mixes or DEFAULT_MIXES)

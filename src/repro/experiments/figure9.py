@@ -24,10 +24,9 @@ from repro.experiments.runner import (
     scale_instructions,
 )
 from repro.sim.energy import EnergyBreakdown
-from repro.sim.system import SingleRunResult
+from repro.sim.system import COMPRESSED_SCHEMES, SingleRunResult
 
-SCHEMES = ("Uncompressed", "Uncompressed8x", "Adaptive", "Decoupled",
-           "SC2", "MORC")
+SCHEMES = ("Uncompressed", "Uncompressed8x") + COMPRESSED_SCHEMES
 
 
 @dataclass

@@ -1,115 +1,30 @@
 """Table 4: tag/metadata/engine overheads per compression scheme.
 
-Reproduces the paper's overhead analysis analytically from the
-architecture parameters (§3.3): a 128KB cache, 48-bit physical addresses,
-16-way sets for the prior-work schemes, 512-byte logs and an 8x LMT for
-MORC.  Tags are 40 bits including state.  Overheads are normalised to
-data-store capacity.
-
-Paper values for reference::
-
-    Scheme       Adaptive  Decoupled  SC2     MORC    MORCMerged
-    Tags          7.81%     0.00%     23.43%   7.81%   0.00%
-    Metadata     10.93%     8.59%     10.15%  17.18%  17.18%
-    Tags+Meta    18.74%     8.59%     33.58%  25.00%  17.18%
+Each scheme's overheads come analytically from the architecture
+parameters (§3.3) and sit, with the paper's percentages, in its row of
+:mod:`repro.sim.schemes`; this module renders them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.experiments.report import format_table
-
-CACHE_BYTES = 128 * 1024
-LINE_BYTES = 64
-TAG_BITS = 40  # tag + state, as the paper assumes
-N_LINES = CACHE_BYTES // LINE_BYTES  # 2048
-CAPACITY_BITS = CACHE_BYTES * 8
-
-LOG_BYTES = 512
-N_LOGS = CACHE_BYTES // LOG_BYTES  # 256
+from repro.sim.schemes import SCHEMES, Scheme
 
 
-@dataclass(frozen=True)
-class SchemeOverheads:
-    """One Table 4 column."""
-
-    scheme: str
-    extra_tag_bits: int
-    metadata_bits: int
-    engine_area_mm2: float
-    dictionary_bytes: int
-
-    @property
-    def tags_pct(self) -> float:
-        return 100.0 * self.extra_tag_bits / CAPACITY_BITS
-
-    @property
-    def metadata_pct(self) -> float:
-        return 100.0 * self.metadata_bits / CAPACITY_BITS
-
-    @property
-    def total_pct(self) -> float:
-        return self.tags_pct + self.metadata_pct
+def run() -> List[Scheme]:
+    """The scheme rows with a Table 4 column, in row order."""
+    return [row for row in SCHEMES if row.overheads is not None]
 
 
-def _adaptive() -> SchemeOverheads:
-    # 2x tags; per-tag compression metadata (size + status + segment base).
-    extra_tags = N_LINES * TAG_BITS  # the additional 1x of a 2x tag store
-    metadata = 2 * N_LINES * 28  # ~28 bits bookkeeping per (doubled) tag
-    return SchemeOverheads("Adaptive", extra_tags, metadata, 0.02, 128)
-
-
-def _decoupled() -> SchemeOverheads:
-    # Super-tags: four neighbours share one tag, so 4x coverage costs no
-    # extra tag bits; decoupled segment pointers are the metadata.
-    metadata = N_LINES * 44  # per-line segment-pointer vector
-    return SchemeOverheads("Decoupled", 0, metadata, 0.02, 128)
-
-
-def _sc2() -> SchemeOverheads:
-    # 4x tags (3x extra); Huffman dictionary is counted as metadata.
-    extra_tags = 3 * N_LINES * TAG_BITS
-    metadata = 2 * N_LINES * 26  # per-tag size/status bits
-    return SchemeOverheads("SC2", extra_tags, metadata, 0.02, 18 * 1024)
-
-
-def _morc(merged: bool) -> SchemeOverheads:
-    # 2x tag-store (1x extra, compressed at runtime) unless merged into
-    # the data logs; LMT sized for 8x compression at ~11 bits per entry
-    # (2 state + 8 log-index, rounded up).
-    extra_tags = 0 if merged else N_LINES * TAG_BITS
-    lmt_entries = 8 * N_LINES
-    lmt_bits_per_entry = 11
-    metadata = lmt_entries * lmt_bits_per_entry
-    name = "MORCMerged" if merged else "MORC"
-    return SchemeOverheads(name, extra_tags, metadata, 0.08, 1024)
-
-
-def run() -> List[SchemeOverheads]:
-    """Compute every scheme's overheads."""
-    return [_adaptive(), _decoupled(), _sc2(), _morc(False), _morc(True)]
-
-
-#: the paper's reported percentages, for EXPERIMENTS.md comparison
-PAPER_VALUES: Dict[str, Dict[str, float]] = {
-    "Adaptive": {"tags": 7.81, "metadata": 10.93, "total": 18.74},
-    "Decoupled": {"tags": 0.00, "metadata": 8.59, "total": 8.59},
-    "SC2": {"tags": 23.43, "metadata": 10.15, "total": 33.58},
-    "MORC": {"tags": 7.81, "metadata": 17.18, "total": 25.00},
-    "MORCMerged": {"tags": 0.00, "metadata": 17.18, "total": 17.18},
-}
-
-
-def render(overheads: List[SchemeOverheads] = None) -> str:
-    overheads = overheads or run()
+def render(schemes: List[Scheme] = None) -> str:
     rows = []
-    for o in overheads:
-        paper = PAPER_VALUES[o.scheme]
-        rows.append([o.scheme, f"{o.tags_pct:.2f}%", f"{o.metadata_pct:.2f}%",
-                     f"{o.total_pct:.2f}%", f"{paper['total']:.2f}%",
-                     f"{o.engine_area_mm2:.2f}mm2",
+    for scheme in schemes or run():
+        o = scheme.overheads
+        rows.append([scheme.name, f"{o.tags_pct:.2f}%",
+                     f"{o.metadata_pct:.2f}%", f"{o.total_pct:.2f}%",
+                     f"{o.paper_pct[2]:.2f}%", f"{o.engine_area_mm2:.2f}mm2",
                      f"{o.dictionary_bytes}B"])
     return format_table(
         ["Scheme", "Tags", "Metadata", "Tags+Meta", "Paper Tags+Meta",

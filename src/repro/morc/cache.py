@@ -52,9 +52,11 @@ class MorcCache(LLCInterface):
                  base_latency_cycles: int = 14,
                  decompress_bytes_per_cycle: int = 16,
                  tag_decode_tags_per_cycle: int = 8,
-                 algorithm: str = "lbe") -> None:
+                 algorithm: str = "lbe",
+                 name: Optional[str] = None) -> None:
         """``algorithm`` selects the data codec: ``"lbe"`` (default),
-        ``"cpack"``, ``"lz"`` or ``"raw"`` (see :mod:`repro.morc.codecs`)."""
+        ``"cpack"``, ``"lz"`` or ``"raw"`` (see :mod:`repro.morc.codecs`);
+        ``name`` is what events report (default MORC or MORCMerged)."""
         self.config = config or MorcConfig()
         cfg = self.config
         if capacity_bytes % cfg.log_size_bytes:
@@ -68,7 +70,7 @@ class MorcCache(LLCInterface):
         self._miss = ReadResult(False, float(base_latency_cycles))
         self._aliased_miss = ReadResult(False, base_latency_cycles + 4.0,
                                         aliased_miss=True)
-        self.name = "MORCMerged" if cfg.merged_tags else "MORC"
+        self.name = name or ("MORCMerged" if cfg.merged_tags else "MORC")
 
         n_logs = capacity_bytes // cfg.log_size_bytes
         if n_logs < cfg.n_active_logs:

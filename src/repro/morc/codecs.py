@@ -152,11 +152,15 @@ class RawTags:
                         line_address=line_address)
 
 
+_CODECS = {"lbe": LbeCodec, "cpack": CPackCodec, "lz": LzCodec}
+#: every ``algorithm`` :func:`make_codecs` accepts
+ALGORITHMS = (*_CODECS, "raw")
+
+
 def make_codecs(algorithm: str, tag_bases: int, verify: bool):
     """The ``(data codec, tag codec)`` pair for one MORC ``algorithm``."""
     if algorithm == "raw":
         return RAW, RawTags()
-    codecs = {"lbe": LbeCodec, "cpack": CPackCodec, "lz": LzCodec}
-    if algorithm not in codecs:
+    if algorithm not in _CODECS:
         raise CacheError(f"unknown MORC data algorithm {algorithm!r}")
-    return codecs[algorithm](verify), TagCompressor(n_bases=tag_bases)
+    return _CODECS[algorithm](verify), TagCompressor(n_bases=tag_bases)

@@ -10,8 +10,8 @@ Design constraints (why this is not just ``random.sample``):
   stores the full history in arrival order, so every downstream
   computation (throughput sums, CGMT replay) is
   bit-identical to the old list-backed behaviour.  Only past capacity
-  does it degrade to a uniform sample — with ``sum``/``count``/``min``/
-  ``max`` still exact, streamed.
+  does it degrade to a uniform sample — with ``sum`` and ``count``
+  still exact, streamed.
 - **Deterministic.**  Replacement decisions come from an inline
   xorshift64* generator seeded per instance, never from ``random`` —
   parallel experiment cells must not perturb global RNG state, and a
@@ -33,10 +33,9 @@ _DEFAULT_SEED = 0x9E3779B97F4A7C15
 
 
 class Reservoir:
-    """Algorithm-R reservoir with exact streamed count/sum/min/max."""
+    """Algorithm-R reservoir with exact streamed count and sum."""
 
-    __slots__ = ("capacity", "count", "total", "min", "max",
-                 "_samples", "_state")
+    __slots__ = ("capacity", "count", "total", "_samples", "_state")
 
     def __init__(self, capacity: int = 4096,
                  seed: int = _DEFAULT_SEED) -> None:
@@ -45,8 +44,6 @@ class Reservoir:
         self.capacity = capacity
         self.count = 0
         self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
         self._samples: List[float] = []
         self._state = (seed or _DEFAULT_SEED) & _MASK64
 
@@ -63,10 +60,6 @@ class Reservoir:
         """Fold one value into the stream."""
         self.count += 1
         self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
         if len(self._samples) < self.capacity:
             self._samples.append(value)
             return

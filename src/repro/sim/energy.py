@@ -21,23 +21,7 @@ from dataclasses import dataclass
 from repro.common.config import CLOCK_HZ, DEFAULT_ENERGY, EnergyParams
 from repro.common.stats import StatGroup
 from repro.sim.metrics import RunMetrics
-
-#: scheme name -> (compress J/line, decompress J/line)
-ENGINE_ENERGY = {
-    "Uncompressed": (0.0, 0.0),
-    "Uncompressed8x": (0.0, 0.0),
-    "Adaptive": ("cpack_compress_j", "cpack_decompress_j"),
-    "Decoupled": ("cpack_compress_j", "cpack_decompress_j"),
-    "Skewed": ("cpack_compress_j", "cpack_decompress_j"),
-    "SC2": ("sc2_compress_j", "sc2_decompress_j"),
-    "MORC": ("lbe_compress_j", "lbe_decompress_j"),
-    "MORCMerged": ("lbe_compress_j", "lbe_decompress_j"),
-    "MORC-CPack": ("cpack_compress_j", "cpack_decompress_j"),
-    "MORC-Raw": (0.0, 0.0),
-    # Hardware LZ engines are costlier than LBE; reuse SC2's figures as
-    # the closest published proxy for a table-driven decoder.
-    "MORC-LZ": ("sc2_compress_j", "sc2_decompress_j"),
-}
+from repro.sim.schemes import get_scheme
 
 
 @dataclass(frozen=True)
@@ -69,24 +53,13 @@ class EnergyBreakdown:
         )
 
 
-def _engine_joules(scheme: str, params: EnergyParams) -> tuple:
-    entry = ENGINE_ENERGY.get(scheme)
-    if entry is None:
-        raise KeyError(f"no energy model for scheme {scheme!r}")
-    compress, decompress = entry
-    if isinstance(compress, str):
-        compress = getattr(params, compress)
-    if isinstance(decompress, str):
-        decompress = getattr(params, decompress)
-    return compress, decompress
-
-
 def compute_energy(scheme: str, metrics: RunMetrics, llc_stats: StatGroup,
                    params: EnergyParams = DEFAULT_ENERGY,
                    llc_size_bytes: int = 128 * 1024,
                    n_cores: int = 1,
                    clock_hz: float = CLOCK_HZ) -> EnergyBreakdown:
-    """Energy of the memory subsystem for one run (paper Figure 9a)."""
+    """Energy of the memory subsystem for one run (paper Figure 9a), with
+    the engine's joules per line from ``scheme``'s row (``sim.schemes``)."""
     seconds = metrics.cycles / clock_hz
     llc_static = params.scaled_llc_static(llc_size_bytes) * n_cores
     static = (params.l1_static_w * n_cores + llc_static) * seconds
@@ -99,7 +72,9 @@ def compute_energy(scheme: str, metrics: RunMetrics, llc_stats: StatGroup,
                + llc_stats.get("read_misses"))
     sram = (params.l1_access_j * metrics.l1_accesses
             + params.llc_data_access_j * llc_ops)
-    compress_j, decompress_j = _engine_joules(scheme, params)
+    engine = get_scheme(scheme).engine
+    compress_j, decompress_j = ([getattr(params, name) for name in engine]
+                                if engine else (0.0, 0.0))
     compression = compress_j * llc_stats.get("compressions")
     decompression = decompress_j * llc_stats.get("decompressed_lines")
     return EnergyBreakdown(static_j=static, dram_j=dram, sram_j=sram,

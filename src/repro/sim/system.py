@@ -9,92 +9,37 @@ This is the main entry point the examples and experiments drive:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cache.base import LLCInterface
-from repro.cache.set_assoc import (
-    AdaptiveCache,
-    DecoupledCache,
-    Sc2Cache,
-    UncompressedCache,
-)
-from repro.common.config import CacheGeometry, SystemConfig
-from repro.common.errors import ConfigError
+from repro.common.config import SystemConfig
 from repro.mem.controller import MemoryChannel
 from repro.morc.cache import MorcCache
 from repro.obs import trace as obs_trace
 from repro.sim.core import CoreSimulator
 from repro.sim.energy import EnergyBreakdown, compute_energy
 from repro.sim.metrics import RunMetrics
+from repro.sim.schemes import ALL_SCHEMES, COMPRESSED_SCHEMES  # noqa: F401
+from repro.sim.schemes import get_scheme
 from repro.sim.throughput import coarse_grain_throughput
 from repro.workloads.mixes import mix_programs
 from repro.workloads.spec import make_trace
 
-ALL_SCHEMES = ("Uncompressed", "Adaptive", "Decoupled", "SC2", "MORC")
-COMPRESSED_SCHEMES = ("Adaptive", "Decoupled", "SC2", "MORC")
-#: MORC scheme name -> its data algorithm (:mod:`repro.morc.codecs`)
-MORC_VARIANTS = {"MORC": "lbe", "MORCMerged": "lbe", "MORC-CPack": "cpack",
-                 "MORC-LZ": "lz", "MORC-Raw": "raw"}
-
 
 def make_llc(scheme: str, config: Optional[SystemConfig] = None,
              capacity_bytes: Optional[int] = None) -> LLCInterface:
-    """Instantiate an LLC model by scheme name.
+    """Build the LLC of the :mod:`repro.sim.schemes` row called ``scheme``.
 
     ``capacity_bytes`` defaults to the per-core LLC size times core count
-    (the paper's shared non-inclusive LLC).
+    (the paper's shared non-inclusive LLC).  An unknown scheme raises
+    :class:`~repro.common.errors.ConfigError`.
     """
     config = config or SystemConfig()
     if capacity_bytes is None:
         capacity_bytes = config.llc_per_core.size_bytes * config.n_cores
-    decomp = config.intra_decompression_cycles
-    base = config.llc_latency_cycles
-
-    def geometry(size: int) -> CacheGeometry:
-        return CacheGeometry(size_bytes=size, ways=config.llc_per_core.ways,
-                             line_size=config.llc_per_core.line_size)
-
-    if scheme == "Uncompressed":
-        return UncompressedCache(geometry(capacity_bytes),
-                                 base_latency_cycles=base)
-    if scheme == "Uncompressed8x":
-        from repro.hw.area import SramModel
-        # A physically larger SRAM is slower (the paper's §5.3 point that
-        # compression beats simply building a bigger cache).
-        slow_base = SramModel(capacity_bytes * 8).access_latency_cycles(
-            reference_cycles=base, reference_bytes=capacity_bytes)
-        return UncompressedCache(geometry(capacity_bytes * 8),
-                                 base_latency_cycles=slow_base)
-    if scheme == "Adaptive":
-        return AdaptiveCache(geometry(capacity_bytes),
-                             base_latency_cycles=base,
-                             decompression_cycles=decomp)
-    if scheme == "Decoupled":
-        return DecoupledCache(geometry(capacity_bytes),
-                              base_latency_cycles=base,
-                              decompression_cycles=decomp)
-    if scheme == "SC2":
-        return Sc2Cache(geometry(capacity_bytes), base_latency_cycles=base,
-                        decompression_cycles=decomp)
-    if scheme == "Skewed":
-        from repro.cache.skewed import SkewedCompressedCache
-        return SkewedCompressedCache(geometry(capacity_bytes),
-                                     base_latency_cycles=base,
-                                     decompression_cycles=decomp)
-    if scheme in MORC_VARIANTS:
-        morc_config = config.morc
-        if scheme == "MORCMerged" and not morc_config.merged_tags:
-            morc_config = config.with_morc(merged_tags=True).morc
-        llc = MorcCache(
-            capacity_bytes, config=morc_config, base_latency_cycles=base,
-            decompress_bytes_per_cycle=config.morc_decompression_bytes_per_cycle,
-            tag_decode_tags_per_cycle=config.tag_decode_tags_per_cycle,
-            algorithm=MORC_VARIANTS[scheme])
-        if scheme not in ("MORC", "MORCMerged"):
-            llc.name = scheme
-        return llc
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    return get_scheme(scheme).build(scheme, config, capacity_bytes)
 
 
 @dataclass
@@ -143,14 +88,7 @@ def run_single_program(benchmark: str, scheme: str,
     config = config or SystemConfig()
     if inclusive_writes is None:
         inclusive_writes = config.morc.inclusive_writes
-    traced = obs_trace.tracing_active()
-    if traced:
-        obs_trace.set_context(run=obs_trace.next_run_id(),
-                              benchmark=benchmark, scheme=scheme)
-        run_channel = obs_trace.RUN
-        if run_channel is not None:
-            run_channel.emit("run_start", n_instructions=n_instructions)
-    try:
+    with _traced_run(benchmark, scheme, n_instructions=n_instructions):
         llc = llc or make_llc(scheme, config)
         memory = memory or MemoryChannel(config.memory)
         core = CoreSimulator(llc, memory, config,
@@ -160,17 +98,31 @@ def run_single_program(benchmark: str, scheme: str,
         metrics = core.run(trace,
                            warmup_instructions=total - n_instructions)
         result = _finish_single(benchmark, scheme, metrics, llc)
-        if traced:
-            run_channel = obs_trace.RUN
-            if run_channel is not None:
-                run_channel.emit("run_end",
-                                 ratio=result.compression_ratio,
-                                 ipc=result.ipc,
-                                 bandwidth_gb=result.bandwidth_gb)
-        return result
+        _run_event("run_end", ratio=result.compression_ratio,
+                   ipc=result.ipc, bandwidth_gb=result.bandwidth_gb)
+    return result
+
+
+@contextmanager
+def _traced_run(benchmark: str, scheme: str, **start_fields):
+    """Tag one run's events with its id, benchmark and scheme, after a
+    ``run_start`` event carrying ``start_fields``."""
+    if not obs_trace.tracing_active():
+        yield
+        return
+    obs_trace.set_context(run=obs_trace.next_run_id(),
+                          benchmark=benchmark, scheme=scheme)
+    try:
+        _run_event("run_start", **start_fields)
+        yield
     finally:
-        if traced:
-            obs_trace.clear_context("run", "benchmark", "scheme")
+        obs_trace.clear_context("run", "benchmark", "scheme")
+
+
+def _run_event(event: str, **fields) -> None:
+    channel = obs_trace.RUN
+    if channel is not None:
+        channel.emit(event, **fields)
 
 
 def _finish_single(benchmark: str, scheme: str, metrics: RunMetrics,
@@ -255,15 +207,8 @@ def run_multi_program(mix: str, scheme: str,
     """
     from repro.sim.multicore import MultiCoreSystem
     config = config or SystemConfig()
-    traced = obs_trace.tracing_active()
-    if traced:
-        obs_trace.set_context(run=obs_trace.next_run_id(),
-                              benchmark=mix, scheme=scheme)
-        run_channel = obs_trace.RUN
-        if run_channel is not None:
-            run_channel.emit("run_start", mix=mix,
-                             n_instructions=n_instructions_each)
-    try:
+    with _traced_run(mix, scheme, mix=mix,
+                     n_instructions=n_instructions_each):
         n_threads = 16
         shared_config = config.with_bandwidth(
             config.memory.bandwidth_bytes_per_sec * n_threads)
@@ -282,14 +227,6 @@ def run_multi_program(mix: str, scheme: str,
             mix=mix, scheme=scheme, per_thread=result.per_thread,
             compression_ratio=result.compression_ratio,
             llc_stats=result.llc_stats)
-        if traced:
-            run_channel = obs_trace.RUN
-            if run_channel is not None:
-                run_channel.emit("run_end",
-                                 ratio=multi.compression_ratio,
-                                 ipc=multi.geomean_ipc,
-                                 bandwidth_gb=multi.bandwidth_gb)
-        return multi
-    finally:
-        if traced:
-            obs_trace.clear_context("run", "benchmark", "scheme")
+        _run_event("run_end", ratio=multi.compression_ratio,
+                   ipc=multi.geomean_ipc, bandwidth_gb=multi.bandwidth_gb)
+    return multi

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.config import CLOCK_HZ, EnergyParams
+from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
 from repro.sim.energy import EnergyBreakdown, compute_energy
 from repro.sim.metrics import RunMetrics
@@ -78,7 +79,7 @@ class TestComputeEnergy:
         assert big.static_j > small.static_j
 
     def test_unknown_scheme_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             compute_energy("Mystery", run_metrics(), llc_stats())
 
     def test_seconds_conversion(self):

@@ -21,6 +21,7 @@ from repro.experiments import (
     table1,
     table4,
 )
+from repro.sim.system import ALL_SCHEMES, COMPRESSED_SCHEMES
 
 TINY = ["gcc", "h264ref"]
 TINY_N = 20_000
@@ -43,12 +44,11 @@ class TestTable1:
 
 class TestTable4:
     def test_all_schemes_present(self):
-        overheads = table4.run()
-        assert [o.scheme for o in overheads] == [
+        assert [row.name for row in table4.run()] == [
             "Adaptive", "Decoupled", "SC2", "MORC", "MORCMerged"]
 
     def test_tag_percentages_match_paper(self):
-        by_name = {o.scheme: o for o in table4.run()}
+        by_name = {row.name: row.overheads for row in table4.run()}
         assert by_name["Adaptive"].tags_pct == pytest.approx(7.81, abs=0.05)
         assert by_name["MORC"].tags_pct == pytest.approx(7.81, abs=0.05)
         assert by_name["MORCMerged"].tags_pct == 0.0
@@ -56,11 +56,11 @@ class TestTable4:
         assert by_name["SC2"].tags_pct == pytest.approx(23.43, abs=0.05)
 
     def test_merged_total_below_split(self):
-        by_name = {o.scheme: o for o in table4.run()}
+        by_name = {row.name: row.overheads for row in table4.run()}
         assert by_name["MORCMerged"].total_pct < by_name["MORC"].total_pct
 
     def test_lmt_metadata_dominates_morc(self):
-        by_name = {o.scheme: o for o in table4.run()}
+        by_name = {row.name: row.overheads for row in table4.run()}
         assert by_name["MORC"].metadata_pct == pytest.approx(17.18, abs=0.7)
 
     def test_render(self):
@@ -87,7 +87,7 @@ class TestFigure6:
         return figure6.run(benchmarks=TINY, n_instructions=TINY_N)
 
     def test_all_series_complete(self, result):
-        assert set(result.runs) == set(figure6.SCHEMES)
+        assert set(result.runs) == set(ALL_SCHEMES)
         for runs in result.runs.values():
             assert len(runs) == len(TINY)
 
@@ -99,7 +99,7 @@ class TestFigure6:
     def test_improvement_series_shape(self, result):
         for series in (result.ipc_improvement_series(),
                        result.throughput_improvement_series()):
-            assert set(series) == set(figure6.COMPRESSED)
+            assert set(series) == set(COMPRESSED_SCHEMES)
 
     def test_render(self, result):
         text = figure6.render(result)

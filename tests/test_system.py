@@ -13,7 +13,6 @@ from repro.common.errors import ConfigError
 from repro.morc.cache import MorcCache
 from repro.sim.system import (
     ALL_SCHEMES,
-    MORC_VARIANTS,
     make_llc,
     run_multi_program,
     run_single_program,
@@ -151,16 +150,6 @@ class TestExtraSchemes:
                                     n_instructions=SMALL)
         assert result.compression_ratio > 0
         assert result.energy.total_j > 0
-
-    def test_every_runnable_scheme_builds_with_an_energy_model(self):
-        from repro.cli import RUNNABLE_SCHEMES
-        from repro.sim.energy import ENGINE_ENERGY
-        assert set(MORC_VARIANTS) <= set(RUNNABLE_SCHEMES)
-        for scheme in RUNNABLE_SCHEMES:
-            llc = make_llc(scheme, SystemConfig())
-            assert scheme in ENGINE_ENERGY, scheme
-            if scheme in MORC_VARIANTS:
-                assert llc.algorithm == MORC_VARIANTS[scheme]
 
     def test_seed_offset_changes_runs(self):
         a = run_single_program("gcc", "MORC", n_instructions=SMALL,
