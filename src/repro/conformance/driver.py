@@ -31,9 +31,9 @@ from repro.conformance.streams import ALL_STREAMS, collect_stream
 from repro.mem.banked import BankedMemoryChannel
 from repro.mem.controller import MemoryChannel
 from repro.morc.cache import MorcCache
+from repro.morc.codecs import ALGORITHMS
 from repro.obs.reservoir import MissSeries
 from repro.sim.metrics import RunMetrics
-from repro.sim.schemes import SCHEMES, MorcBuilder
 from repro.sim.throughput import coarse_grain_throughput
 from repro.workloads.trace import TraceRecord
 
@@ -247,10 +247,7 @@ def _morc_variants() -> List[Tuple[str, Callable]]:
             MorcCache(capacity, config, algorithm=algorithm),
             ref.RefMorcCache(capacity, config, algorithm=algorithm))
 
-    # One variant per data algorithm a scheme row builds MORC with.
-    algorithms = dict.fromkeys(row.build.algorithm for row in SCHEMES
-                               if isinstance(row.build, MorcBuilder))
-    variants = [(f"morc-{algo}", make(algo)) for algo in algorithms]
+    variants = [(f"morc-{algo}", make(algo)) for algo in ALGORITHMS]
     # Every layout of the fit rule (Log.data_room): tags merged into the
     # data region, one tag base, no tag or LMT limit, and Figure 13a's
     # 64B logs, where a line may not fit an empty log.

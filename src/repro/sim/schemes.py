@@ -92,10 +92,11 @@ class MorcBuilder:
         morc = config.morc
         if self.merged and not morc.merged_tags:
             morc = config.with_morc(merged_tags=True).morc
+        # An LBE cache names itself MORC or MORCMerged by its tag layout.
         return MorcCache(capacity_bytes, morc, config.llc_latency_cycles,
                          config.morc_decompression_bytes_per_cycle,
-                         config.tag_decode_tags_per_cycle,
-                         self.algorithm, name)
+                         config.tag_decode_tags_per_cycle, self.algorithm,
+                         None if self.algorithm == "lbe" else name)
 
 
 def _uncompressed(name, config, capacity_bytes, scale=1):

@@ -46,6 +46,12 @@ def test_row_runs_end_to_end(scheme):
     assert (result.energy.compression_j > 0) == engine
 
 
+def test_lbe_cache_names_itself_by_tag_layout():
+    merged = SystemConfig().with_morc(merged_tags=True)
+    assert make_llc("MORC", merged).name == "MORCMerged"
+    assert make_llc("MORC-CPack", merged).name == "MORC-CPack"
+
+
 def test_incomplete_row_cannot_be_built():
     with pytest.raises(TypeError):
         Scheme("Half", MorcBuilder("lbe"))
