@@ -140,7 +140,7 @@ print(json.dumps({{"elapsed_s": elapsed, "ratios": ratios,
 
 
 def _end_to_end_leg(benchmarks, n_instructions, schemes, jobs: int,
-                    obs_trace: str = "", extra_env: dict = None) -> dict:
+                    obs_trace: str = "") -> dict:
     env = dict(os.environ)
     env["REPRO_JOBS"] = str(jobs)
     if obs_trace:
@@ -148,11 +148,7 @@ def _end_to_end_leg(benchmarks, n_instructions, schemes, jobs: int,
         env["REPRO_OBS_TRACE"] = obs_trace
     else:
         env["REPRO_OBS"] = "0"
-    for knob in ("REPRO_SOFT_ERRORS", "REPRO_SOFT_ERROR_POLICY",
-                 "REPRO_VERIFY"):
-        env.pop(knob, None)
-    if extra_env:
-        env.update(extra_env)
+    env.pop("REPRO_VERIFY", None)
     snippet = _END_TO_END_SNIPPET.format(
         src=str(SRC), benchmarks=list(benchmarks),
         n_instructions=n_instructions, schemes=tuple(schemes))
@@ -257,42 +253,6 @@ def bench_robustness(benchmarks, n_instructions, schemes) -> dict:
     }
 
 
-def bench_verify(benchmarks, n_instructions, schemes) -> dict:
-    """Cost of the data-plane resilience features on a figure-6 grid.
-
-    Three serial legs: the default, ``REPRO_VERIFY=1``
-    (round-trip + invariant checks on every insert/sample), and soft
-    errors injected at 1e-4 per stored bit with the refetch policy.
-    Verification observes without perturbing, so its leg must stay
-    bit-identical to the baseline; the injection leg changes behaviour
-    by design (lines are refetched) and only has to complete.
-    """
-    base = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=1)
-    verified = _end_to_end_leg(benchmarks, n_instructions, schemes, jobs=1,
-                               extra_env={"REPRO_VERIFY": "1"})
-    if base["ratios"] != verified["ratios"]:
-        raise AssertionError("REPRO_VERIFY changed simulation results: "
-                             "verification must only observe")
-    injected = _end_to_end_leg(
-        benchmarks, n_instructions, schemes, jobs=1,
-        extra_env={"REPRO_SOFT_ERRORS": "1e-4",
-                   "REPRO_SOFT_ERROR_POLICY": "refetch"})
-    verify_overhead = verified["elapsed_s"] / base["elapsed_s"] - 1.0
-    inject_overhead = injected["elapsed_s"] / base["elapsed_s"] - 1.0
-    return {
-        "benchmarks": list(benchmarks),
-        "schemes": list(schemes),
-        "n_instructions": n_instructions,
-        "base_s": base["elapsed_s"],
-        "verify_s": verified["elapsed_s"],
-        "verify_overhead_pct": verify_overhead * 100.0,
-        "soft_errors_s": injected["elapsed_s"],
-        "soft_errors_overhead_pct": inject_overhead * 100.0,
-        "soft_error_rate": 1e-4,
-        "bit_exact": True,
-    }
-
-
 def bench_end_to_end(benchmarks, n_instructions, schemes) -> dict:
     """Serial vs the process pool over every core."""
     jobs = max(1, os.cpu_count() or 1)
@@ -357,10 +317,6 @@ def main(argv=None) -> int:
     parser.add_argument("--robustness-only", action="store_true",
                         help="run only the fault-injection/resume leg "
                              "(CI fault-tolerance smoke)")
-    parser.add_argument("--verify-only", action="store_true",
-                        help="run only the resilience leg: obs-off vs "
-                             "REPRO_VERIFY=1 vs soft errors at 1e-4 "
-                             "(CI resilience smoke)")
     parser.add_argument("-o", "--output",
                         default=str(REPO_ROOT / "BENCH_perf.json"),
                         help="where to write the JSON trajectory")
@@ -380,25 +336,6 @@ def main(argv=None) -> int:
         grid = dict(benchmarks=("gcc", "hmmer", "mcf", "soplex"),
                     n_instructions=60_000,
                     schemes=("MORC", "MORCMerged", "MORC-CPack"))
-
-    if args.verify_only:
-        verify = bench_verify(**grid)
-        print(f"verify: base {verify['base_s']:.2f}s, REPRO_VERIFY=1 "
-              f"{verify['verify_s']:.2f}s "
-              f"({verify['verify_overhead_pct']:+.1f}%, bit-exact), "
-              f"soft errors@1e-4 {verify['soft_errors_s']:.2f}s "
-              f"({verify['soft_errors_overhead_pct']:+.1f}%)")
-        output = Path(args.output)
-        payload = {"mode": "verify", "host_cpus": os.cpu_count()}
-        if output.exists():
-            try:  # fold into an existing trajectory rather than clobber
-                payload = json.loads(output.read_text())
-            except (OSError, ValueError):
-                pass
-        payload["verify"] = verify
-        output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {output}")
-        return 0
 
     if args.robustness_only:
         robustness = bench_robustness(**grid)
@@ -442,12 +379,6 @@ def main(argv=None) -> int:
           f"cells reported, resume re-ran "
           f"{robustness['resume_executed']}  (bit-exact)")
 
-    verify = bench_verify(**grid)
-    print(f"  verify on {verify['verify_s']:.2f}s "
-          f"({verify['verify_overhead_pct']:+.1f}%, bit-exact), "
-          f"soft errors@1e-4 {verify['soft_errors_s']:.2f}s "
-          f"({verify['soft_errors_overhead_pct']:+.1f}%)")
-
     payload = {
         "mode": "quick" if args.quick else "full",
         "host_cpus": os.cpu_count(),
@@ -455,7 +386,6 @@ def main(argv=None) -> int:
         "end_to_end": end_to_end,
         "observability": observability,
         "robustness": robustness,
-        "verify": verify,
     }
     output = Path(args.output)
     output.write_text(json.dumps(payload, indent=2) + "\n")

@@ -28,13 +28,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.config import CacheGeometry
-from repro.common.errors import PoisonedLineError
 from repro.common.stats import StatGroup
 from repro.common.words import LINE_SIZE, check_line
 from repro.obs import trace as obs_trace
-from repro import settings
 from repro.resilience import verify as res_verify
-from repro.resilience.faults import make_injector
 from repro.cache.base import FillResult, LLCInterface, ReadResult
 from repro.compression.base import IntraLineCompressor
 from repro.compression.cpack import CPackCompressor
@@ -49,8 +46,6 @@ class _Line:
     data: bytes
     dirty: bool
     segments: int
-    #: stored bit flipped by an injected soft error, or None when clean
-    poison_bit: Optional[int] = None
 
 
 class _Set:
@@ -94,9 +89,6 @@ class SetAssociativeCache(LLCInterface):
         self.stats = StatGroup(self.name)
         # Every miss reads the same outcome; ReadResult is immutable.
         self._miss = ReadResult(False, base_latency_cycles)
-        # Resilience hooks (repro/resilience): inert on a clean run.
-        self._injector = make_injector()
-        self._raw_fallback: set = set()
         self._verify = res_verify.verification_enabled()
         self._full_segments = geometry.line_size // SEGMENT_BYTES
 
@@ -120,8 +112,6 @@ class SetAssociativeCache(LLCInterface):
         if line is None:
             self.stats.add("read_misses")
             return self._miss
-        if line.poison_bit is not None:
-            return self._recover(cache_set, line, during="read")
         cache_set.lines.move_to_end(line_address)
         self.stats.add("read_hits")
         latency = self.base_latency_cycles
@@ -151,8 +141,6 @@ class SetAssociativeCache(LLCInterface):
         # In-place update: re-fit if the compressed size grew (Adaptive's
         # expansion/defragmentation case).
         new_segments = self._line_segments(data)
-        if self._raw_fallback and line_address in self._raw_fallback:
-            new_segments = self._full_segments
         if self._verify and self.compressor is not None:
             res_verify.verify_intraline_roundtrip(self.compressor, data,
                                                   self.name)
@@ -166,9 +154,7 @@ class SetAssociativeCache(LLCInterface):
         line.segments = new_segments
         line.data = data
         line.dirty = True
-        line.poison_bit = None  # the rewrite stores fresh bits
         cache_set.lines.move_to_end(line_address)
-        self._maybe_poison(line)
         return result
 
     def contains(self, address: int) -> bool:
@@ -178,57 +164,6 @@ class SetAssociativeCache(LLCInterface):
     def compression_ratio(self) -> float:
         resident = sum(len(s.lines) for s in self._sets)
         return resident / self.geometry.n_lines
-
-    # -- soft-error detection and recovery ------------------------------------
-
-    def _recover(self, cache_set: _Set, line: _Line,
-                 during: str) -> ReadResult:
-        """A poisoned line was touched: detect, recover per policy."""
-        policy = settings.current().soft_error_policy
-        self.stats.add("soft_errors_detected")
-        latency = self.base_latency_cycles + self.decompression_cycles
-        if self.compressor is not None:
-            # The decoder ran over the stored payload before failing.
-            self.stats.add("decompressions")
-            self.stats.add("decompressed_lines")
-        if policy == "failstop":
-            raise PoisonedLineError(
-                self.name, line.address,
-                f"set {line.address % self._n_sets}",
-                bit=line.poison_bit)
-        if policy == "raw":
-            self._raw_fallback.add(line.address)
-            self.stats.add("raw_fallbacks")
-        bit = line.poison_bit
-        dirty = line.dirty
-        cache_set.lines.pop(line.address)
-        cache_set.used_segments -= line.segments
-        self.stats.add("soft_error_recoveries")
-        if dirty:
-            self.stats.add("soft_error_data_loss")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("recovery", cache=self.name, line=line.address,
-                         policy=policy, during=during, dirty=dirty,
-                         bit=bit)
-        return ReadResult(False, latency)
-
-    def _maybe_poison(self, line: _Line) -> None:
-        """Run the injector over one freshly stored compressed payload."""
-        if self._injector is None or self.compressor is None:
-            return
-        if line.segments >= self._full_segments:
-            return  # stored raw: assumed ECC-protected
-        flip = self._injector.flip_for(line.segments * SEGMENT_BYTES * 8)
-        if flip is None:
-            return
-        line.poison_bit = flip
-        self.stats.add("soft_errors_injected")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("soft_error", cache=self.name, line=line.address,
-                         bit=flip,
-                         bits=line.segments * SEGMENT_BYTES * 8)
 
     # -- internals ------------------------------------------------------------
 
@@ -241,8 +176,6 @@ class SetAssociativeCache(LLCInterface):
             cache_set.used_segments -= existing.segments
             dirty = dirty or existing.dirty
         segments = self._line_segments(data)
-        if self._raw_fallback and line_address in self._raw_fallback:
-            segments = self._full_segments
         if self._verify and self.compressor is not None:
             res_verify.verify_intraline_roundtrip(self.compressor, data,
                                                   self.name)
@@ -251,11 +184,10 @@ class SetAssociativeCache(LLCInterface):
         if (need_tags or cache_set.used_segments + segments
                 > self.segments_per_set):
             self._make_room(cache_set, segments, need_tags, result)
-        new_line = _Line(line_address, data, dirty, segments)
-        cache_set.lines[line_address] = new_line  # most recently used
+        # most recently used
+        cache_set.lines[line_address] = _Line(line_address, data, dirty,
+                                              segments)
         cache_set.used_segments += segments
-        if self._injector is not None:
-            self._maybe_poison(new_line)
         channel = obs_trace.LLC
         if channel is not None:
             channel.emit("insert", cache=self.name, dirty=dirty,
@@ -296,24 +228,6 @@ class SetAssociativeCache(LLCInterface):
                          dirty=line.dirty,
                          bits=line.segments * SEGMENT_BYTES * 8)
         if line.dirty:
-            if line.poison_bit is not None:
-                # The dirty victim cannot be decompressed for write-back:
-                # detection fires here, and the write is lost (or the
-                # run stops under failstop).
-                policy = settings.current().soft_error_policy
-                self.stats.add("soft_errors_detected")
-                if policy == "failstop":
-                    raise PoisonedLineError(
-                        self.name, line_address, "dirty eviction",
-                        bit=line.poison_bit)
-                self.stats.add("soft_error_data_loss")
-                channel = obs_trace.RESILIENCE
-                if channel is not None:
-                    channel.emit("recovery", cache=self.name,
-                                 line=line_address, policy=policy,
-                                 during="evict", dirty=True,
-                                 bit=line.poison_bit)
-                return
             self.stats.add("dirty_evictions")
             if self.compressor is not None:
                 self.stats.add("decompressions")

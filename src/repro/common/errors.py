@@ -7,7 +7,7 @@ callers can catch library failures without catching unrelated bugs.
 a failed experiment-engine cell (see
 :mod:`repro.experiments.parallel`), returned in the cell's result slot
 when the engine runs with ``on_error="skip"``/``"retry"`` so one
-poisoned cell cannot throw away the rest of a grid.
+failing cell cannot throw away the rest of a grid.
 """
 
 from dataclasses import dataclass
@@ -51,25 +51,6 @@ class CorruptBitstreamError(CompressionError):
 
 class CacheError(ReproError):
     """A cache operation violated an internal invariant."""
-
-
-class PoisonedLineError(CacheError):
-    """A soft error was detected under the ``failstop`` recovery policy.
-
-    Names the poisoned line so the failure is actionable: which cache,
-    which line address, where it lived, and which stored bit flipped.
-    """
-
-    def __init__(self, cache: str, line_address: int, location: str,
-                 bit: "int | None" = None) -> None:
-        self.cache = cache
-        self.line_address = line_address
-        self.location = location
-        self.bit = bit
-        flipped = f", flipped bit {bit}" if bit is not None else ""
-        super().__init__(
-            f"{cache}: soft error detected in line 0x{line_address:x} "
-            f"({location}{flipped}); policy=failstop")
 
 
 class VerificationError(CacheError):

@@ -10,10 +10,9 @@ file::
            "timing": CellTiming})
 
 ``key`` is a stable hash of the cell's position, label and spec repr
-plus the settings that change results (:func:`spec_key`), so a resume
-run matches journal entries to grid cells even across processes, and a
-checkpoint written for one grid — or under other soft-error settings —
-is never silently replayed into a different one.  Appends are flushed and
+(:func:`spec_key`), so a resume run matches journal entries to grid
+cells even across processes, and a checkpoint written for one grid is
+never silently replayed into a different one.  Appends are flushed and
 fsynced per frame; a run killed mid-append leaves at most one torn
 trailing frame, which :meth:`GridCheckpoint.load` drops (like the
 JSONL trace reader tolerates a torn final line).
@@ -29,27 +28,24 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Optional
 
-#: bumped whenever the journal frame layout changes, so an old
-#: checkpoint can never be misread as a new one (it hashes into keys)
-SCHEMA_VERSION = 2
+#: bumped whenever the journal frame layout or what a key hashes
+#: changes, so an old checkpoint can never be misread as a new one (it
+#: hashes into keys): an older journal's cells are re-run
+SCHEMA_VERSION = 3
 
 
-def spec_key(index: int, label: str, item: Any, worker: str = "",
-             knobs: Tuple = ()) -> str:
+def spec_key(index: int, label: str, item: Any, worker: str = "") -> str:
     """Stable identity of one grid cell.
 
     Hashes the cell's grid position, timing label, the spec's repr
     (specs are frozen dataclasses of primitives, so their reprs are
-    deterministic across processes and runs), the worker function's
+    deterministic across processes and runs) and the worker function's
     identity, so a checkpoint for one grid function is never replayed
-    into another that happens to share items, and ``knobs``: the
-    results-affecting settings
-    (:meth:`repro.settings.Settings.results_key`), so a cell journaled
-    under ``REPRO_SOFT_ERRORS`` is never replayed into a clean run.
+    into another that happens to share items.
     """
-    blob = f"{SCHEMA_VERSION}|{worker}|{index}|{label}|{item!r}|{knobs!r}"
+    blob = f"{SCHEMA_VERSION}|{worker}|{index}|{label}|{item!r}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 

@@ -73,7 +73,7 @@ MEMORY_CHANNELS = ("simple", "link", "banked")
 
 #: pid of the process that imported this module (the grid parent under
 #: ``fork``); lets injected ``kill`` faults refuse to kill the parent
-#: when a poisoned cell is re-run serially
+#: when a failing cell is re-run serially
 _MAIN_PID = os.getpid()
 
 
@@ -246,7 +246,7 @@ def _guarded(worker: Callable[[Any], Tuple[Any, float, int]],
          queue_wait_s, peak_rss_kb)
 
     so a worker exception crosses the process boundary as plain data
-    instead of poisoning ``ProcessPoolExecutor``'s result plumbing.
+    instead of breaking ``ProcessPoolExecutor``'s result plumbing.
     """
     submitted, index, attempt, fault, item = payload
     queue_wait = max(0.0, time.perf_counter() - submitted)
@@ -360,9 +360,7 @@ class _Grid:
         self.journal = (GridCheckpoint(options.checkpoint)
                         if options.checkpoint else None)
         identity = _worker_identity(worker) if self.journal else ""
-        knobs = self.settings.results_key()
-        self.keys = ([spec_key(index, self.labels[index], item, identity,
-                               knobs)
+        self.keys = ([spec_key(index, self.labels[index], item, identity)
                       for index, item in enumerate(self.items)]
                      if self.journal else None)
 
@@ -532,7 +530,7 @@ class _Grid:
                 pool = self._expire_timeouts(pool, pending, todo, jobs)
         except BrokenProcessPool:
             # A worker died hard (OOM kill, segfault, os._exit): the
-            # pool is unusable and every in-flight future is poisoned.
+            # pool is unusable and every in-flight future is broken.
             # Escalate to a graceful serial re-run of the unfinished
             # attempts — cells are pure, so re-running is safe.
             requeued = sorted(list(todo)

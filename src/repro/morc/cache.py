@@ -29,19 +29,17 @@ from collections import Counter, deque
 from typing import Deque, List, Optional
 
 from repro.common.config import MorcConfig
-from repro.common.errors import CacheError, PoisonedLineError
+from repro.common.errors import CacheError
 from repro.common.stats import StatGroup
 from repro.common.words import LINE_SIZE, check_line
 from repro.cache.base import FillResult, LLCInterface, ReadResult
 from repro.compression.tag_compression import FULL_TAG_BITS
-from repro.morc.codecs import RAW, make_codecs
+from repro.morc.codecs import make_codecs
 from repro.morc.lmt import LineMapTable, LmtEntry, LmtState
 from repro.morc.log import Log, LogEntry
 from repro.morc.policies import PlacementCandidate, choose_log
 from repro.obs import trace as obs_trace
-from repro import settings
 from repro.resilience import verify as res_verify
-from repro.resilience.faults import make_injector
 
 
 class MorcCache(LLCInterface):
@@ -76,11 +74,6 @@ class MorcCache(LLCInterface):
         if n_logs < cfg.n_active_logs:
             raise CacheError(
                 f"{n_logs} logs cannot sustain {cfg.n_active_logs} active")
-        # Resilience hooks (repro/resilience): injector is None and
-        # _verify False on a clean run, so every hook is one attribute
-        # load plus a branch.
-        self._injector = make_injector()
-        self._raw_fallback: set = set()
         self._verify = res_verify.verification_enabled()
         self.algorithm = algorithm
         self._codec, self._tag_compressor = make_codecs(
@@ -138,56 +131,11 @@ class MorcCache(LLCInterface):
                 return self._aliased_miss
             return self._miss
         log_entry: LogEntry = lmt_entry.entry_ref
-        if log_entry.poison_bit is not None:
-            # The decoder runs (and fails) over the log prefix, so the
-            # detection pays the full hit decompression latency and work;
-            # the recovery then reports a miss, which routes the refetch
-            # through the memory controller's ordinary accounting.
-            self.stats.add("decompressed_lines", log_entry.position + 1)
-            self._recover(lmt_entry, log_entry, during="read")
-            return ReadResult(False, self._hit_latency(log_entry))
         self.stats.add("read_hits")
         self.stats.add("decompressed_lines", log_entry.position + 1)
         self.latency_bytes_histogram[log_entry.output_bytes_through] += 1
         return ReadResult(True, self._hit_latency(log_entry),
                           data=log_entry.data)
-
-    # -- soft-error detection and recovery -----------------------------------
-
-    def _recover(self, lmt_entry: LmtEntry, entry: LogEntry,
-                 during: str) -> None:
-        """A read or a log flush decoded a poisoned entry: recover per
-        policy, dropping the line from the cache.
-
-        A dirty poisoned line cannot be written back, so its write is
-        lost; a clean one is refetched from memory on its next miss.
-        """
-        policy = settings.current().soft_error_policy
-        self.stats.add("soft_errors_detected")
-        if policy == "failstop":
-            where = f"log {entry.log_index} entry {entry.position}"
-            if during == "flush":
-                where += " (during flush)"
-            raise PoisonedLineError(self.name, entry.line_address, where,
-                                    bit=entry.poison_bit)
-        if policy == "raw":
-            self._raw_fallback.add(entry.line_address)
-            self.stats.add("raw_fallbacks")
-        dirty = lmt_entry.is_modified
-        self.stats.add("soft_error_recoveries")
-        if dirty:
-            self.stats.add("soft_error_data_loss")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("recovery", cache=self.name,
-                         line=entry.line_address, policy=policy,
-                         during=during, dirty=dirty, bit=entry.poison_bit)
-        self.lmt.release(lmt_entry)
-        log = self.logs[entry.log_index]
-        if during == "flush":
-            log.invalidate(entry)  # the victim has left the closed FIFO
-        else:
-            self._invalidate(log, entry)
 
     def _invalidate(self, log: Log, entry: LogEntry) -> None:
         """Kill one resident line; a closed log whose last line dies
@@ -290,9 +238,7 @@ class MorcCache(LLCInterface):
         room the tag leaves (:meth:`Log.data_room`); a log with no room
         for the codec's smallest tag is not asked at all.
         """
-        # A soft-error raw-fallback line is stored uncompressed.
-        codec = RAW if line_address in self._raw_fallback else self._codec
-        trial = codec.trial
+        trial = self._codec.trial
         tags = self._tag_compressor
         measure_tag, smallest_tag = tags.measure, tags.min_token_bits
         candidates: List[PlacementCandidate] = []
@@ -313,10 +259,8 @@ class MorcCache(LLCInterface):
 
     def _commit_append(self, log: Log, line_address: int,
                        data: bytes) -> LogEntry:
-        codec = RAW if line_address in self._raw_fallback else self._codec
-        data_bits, usage = codec.commit(log.codec_state, data, self.name)
-        # A raw-fallback line's tag still joins the compressed tag
-        # stream, which the decoder does not need to recover its data.
+        data_bits, usage = self._codec.commit(log.codec_state, data,
+                                              self.name)
         tag_bits = self._tag_compressor.append(log.tag_stream,
                                                line_address).size_bits
         if usage is not None:
@@ -332,19 +276,7 @@ class MorcCache(LLCInterface):
         if channel is not None:
             channel.emit("insert", cache=self.name, log=log.index,
                          bits=data_bits, tag_bits=tag_bits)
-        entry = log.append(line_address, data, data_bits, tag_bits)
-        # Raw lines are assumed ECC-protected: never injection targets.
-        if self._injector is not None and codec is not RAW:
-            flip = self._injector.flip_for(data_bits)
-            if flip is not None:
-                entry.poison_bit = flip
-                self.stats.add("soft_errors_injected")
-                channel = obs_trace.RESILIENCE
-                if channel is not None:
-                    channel.emit("soft_error", cache=self.name,
-                                 line=line_address, log=log.index,
-                                 bit=flip, bits=data_bits)
-        return entry
+        return log.append(line_address, data, data_bits, tag_bits)
 
     def _account_usage(self, usage) -> None:
         """Add one line's bytes per symbol kind to Figure 7's usage; the
@@ -429,9 +361,6 @@ class MorcCache(LLCInterface):
             lmt_entry: Optional[LmtEntry] = entry.lmt_ref
             if lmt_entry is None or lmt_entry.entry_ref is not entry:
                 raise CacheError("log entry lost its LMT back-pointer")
-            if entry.poison_bit is not None:
-                self._recover(lmt_entry, entry, during="flush")
-                continue
             if channel is not None:
                 channel.emit("evict", cache=self.name, reason="log_flush",
                              dirty=lmt_entry.is_modified, log=log.index)

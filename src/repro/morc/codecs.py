@@ -39,7 +39,7 @@ UNCOMPRESSED_TAG_BITS = FULL_TAG_BITS + VALID_BITS
 
 
 class RawCodec:
-    """Stores lines uncompressed; also the soft-error raw fallback."""
+    """Stores lines uncompressed (MORC-Raw)."""
 
     def new_state(self) -> None:
         return None

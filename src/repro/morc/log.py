@@ -36,9 +36,6 @@ class LogEntry:
     valid: bool = True
     lmt_ref: Optional[object] = None  # back-pointer to the tracking LmtEntry
     log_index: int = -1  # which log holds this entry
-    #: stored bit flipped by an injected soft error, or None when clean;
-    #: poison is logical — detection happens on the next read/flush
-    poison_bit: Optional[int] = None
 
     @property
     def output_bytes_through(self) -> int:

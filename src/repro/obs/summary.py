@@ -4,7 +4,7 @@ Reads a JSONL observability trace (:mod:`repro.obs.reader`) and renders
 the three views the MORC evaluation keeps needing:
 
 - **top eviction causes** — which mechanism (LMT conflict, log flush,
-  set-capacity, skew conflict, ...) is actually churning each cache;
+  set-capacity, ...) is actually churning each cache;
 - **compression-ratio distributions per run** — the per-interval ratio
   samples behind every mean the figures report, including a
   reconstruction cross-check: the mean of the traced samples must match
@@ -68,11 +68,6 @@ class TraceSummary:
     #: (algo, entropy class) -> attempts
     compression_entropy: Counter = field(default_factory=Counter)
     runs: Dict[str, RunDigest] = field(default_factory=dict)
-    #: (cache, event kind) -> count, from the resilience category
-    resilience_counts: Counter = field(default_factory=Counter)
-    #: (cache, recovery policy) -> [recoveries, dirty/data-loss]
-    recovery_by_policy: Dict[Tuple[str, str], List[int]] = field(
-        default_factory=dict)
     verify_failures: List[dict] = field(default_factory=list)
     engine_cells: List[dict] = field(default_factory=list)
     engine_workers: List[dict] = field(default_factory=list)
@@ -139,16 +134,8 @@ def summarize(path: str) -> TraceSummary:
                 digest.mem_samples.clear()
             elif kind == "run_end" and "ratio" in event:
                 digest.reported_ratio = float(event["ratio"])
-        elif category == "resilience":
-            cache = str(event.get("cache", "?"))
-            summary.resilience_counts[(cache, kind)] += 1
-            if kind == "recovery":
-                key = (cache, str(event.get("policy", "?")))
-                cell = summary.recovery_by_policy.setdefault(key, [0, 0])
-                cell[0] += 1
-                cell[1] += 1 if event.get("dirty") else 0
-            elif kind == "verify_fail":
-                summary.verify_failures.append(event)
+        elif category == "resilience" and kind == "verify_fail":
+            summary.verify_failures.append(event)
         elif category == "engine":
             if kind == "cell":
                 summary.engine_cells.append(event)
@@ -304,34 +291,13 @@ def _render_faults(summary: TraceSummary, top: int) -> str:
     return "\n\n".join(blocks)
 
 
-def _render_resilience(summary: TraceSummary, top: int) -> str:
-    caches = sorted({cache for cache, _ in summary.resilience_counts})
-    rows = [[cache,
-             int(summary.resilience_counts.get((cache, "soft_error"), 0)),
-             int(summary.resilience_counts.get((cache, "recovery"), 0)),
-             int(summary.resilience_counts.get((cache, "verify_fail"),
-                                               0))]
-            for cache in caches]
-    blocks = [format_table(
-        ["cache", "soft errors", "recoveries", "verify fails"], rows,
-        title="Resilience events (soft_error / recovery / verify_fail)")]
-    if summary.recovery_by_policy:
-        rows = [[f"{cache}:{policy}", total, lost]
-                for (cache, policy), (total, lost)
-                in sorted(summary.recovery_by_policy.items())]
-        blocks.append(format_table(
-            ["cache:policy", "recoveries", "dirty (write lost)"], rows,
-            title="Recoveries by policy"))
-    if summary.verify_failures:
-        rows = [[str(event.get("cache", "?")),
-                 str(event.get("kind", "?")),
-                 str(event.get("detail", "?"))[:60]]
-                for event in summary.verify_failures[:top]]
-        blocks.append(format_table(
-            ["cache", "kind", "detail"], rows,
-            title=f"Verification failures "
-                  f"({len(summary.verify_failures)})"))
-    return "\n\n".join(blocks)
+def _render_verify_failures(summary: TraceSummary, top: int) -> str:
+    rows = [[str(event.get("cache", "?")), str(event.get("kind", "?")),
+             str(event.get("detail", "?"))[:60]]
+            for event in summary.verify_failures[:top]]
+    return format_table(["cache", "kind", "detail"], rows,
+                        title=f"Verification failures "
+                              f"({len(summary.verify_failures)})")
 
 
 def render(summary: TraceSummary, top: int = 8) -> str:
@@ -349,8 +315,8 @@ def render(summary: TraceSummary, top: int = 8) -> str:
         blocks.append(_render_compression(summary))
     if any(d.mem_samples for d in summary.runs.values()):
         blocks.append(_render_timeline(summary, top))
-    if summary.resilience_counts:
-        blocks.append(_render_resilience(summary, top))
+    if summary.verify_failures:
+        blocks.append(_render_verify_failures(summary, top))
     if summary.engine_workers:
         blocks.append(_render_engine(summary))
     if (summary.engine_errors or summary.engine_retries

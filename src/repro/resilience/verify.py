@@ -16,8 +16,7 @@ Enabled by ``REPRO_VERIFY=1``.  Two mechanisms:
 - **Invariant audits** — :func:`audit` walks a cache's structures and
   collects every broken invariant: bits accounting, occupancy vs
   capacity, LMT↔log cross-references and the count of reusable closed
-  logs for MORC, segment/tag budgets for the set-associative baselines,
-  size-class bounds for the skewed cache.
+  logs for MORC, segment/tag budgets for the set-associative baselines.
   The system simulator runs it at every ratio-sample point.
 
 Failures raise :class:`repro.common.errors.VerificationError` and emit
@@ -139,15 +138,12 @@ def audit(llc) -> None:
 
     Dispatches on structure (duck typing keeps this free of import
     cycles): MORC exposes ``logs``/``lmt``, the set-associative family
-    ``_sets``/``segments_per_set``, the skewed cache
-    ``_ways``/``entries_per_way``.  Unknown caches are ignored.
+    ``_sets``/``segments_per_set``.  Unknown caches are ignored.
     """
     if hasattr(llc, "logs") and hasattr(llc, "lmt"):
         violations = _audit_morc(llc)
     elif hasattr(llc, "_sets") and hasattr(llc, "segments_per_set"):
         violations = _audit_set_assoc(llc)
-    elif hasattr(llc, "_ways") and hasattr(llc, "entries_per_way"):
-        violations = _audit_skewed(llc)
     else:
         return
     if violations:
@@ -240,24 +236,4 @@ def _audit_set_assoc(llc) -> List[str]:
                 violations.append(
                     f"set {index}: line 0x{line.address:x} holds "
                     f"{line.segments} segments")
-    return violations
-
-
-def _audit_skewed(llc) -> List[str]:
-    violations: List[str] = []
-    superblock_lines = 4  # SUPERBLOCK_LINES
-    for way_index, way in enumerate(llc._ways):
-        for entry_index, entry in enumerate(way):
-            if not entry.valid:
-                continue
-            where = f"way {way_index} entry {entry_index}"
-            if len(entry.lines) > entry.blocks:
-                violations.append(
-                    f"{where}: {len(entry.lines)} lines exceed size "
-                    f"class {entry.blocks}")
-            for line_address in entry.lines:
-                if line_address // superblock_lines != entry.superblock:
-                    violations.append(
-                        f"{where}: line 0x{line_address:x} outside "
-                        f"superblock {entry.superblock}")
     return violations

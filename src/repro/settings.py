@@ -2,8 +2,7 @@
 
 :class:`Settings` has one field per knob.  Each field's metadata names
 its environment variable (``env``), the parser that validates it
-(``parse``), its ``repro list`` line (``help``) and whether it changes
-what a simulated cell computes (``results``), so
+(``parse``) and its ``repro list`` line (``help``), so
 ``dataclasses.fields(Settings)`` is the one table of knobs.
 
 - :func:`from_env` builds :class:`Settings` from a mapping (pure);
@@ -13,15 +12,14 @@ what a simulated cell computes (``results``), so
   with the same parser as its environment variable::
 
       from repro import settings
-      settings.configure(obs=True, obs_trace="/tmp/t.jsonl",
-                         soft_errors="@0", soft_error_policy="failstop")
+      settings.configure(obs=True, obs_trace="/tmp/t.jsonl", verify=True)
       ...
       settings.reset()   # back to the environment's settings
 
 Forked experiment workers inherit the parent's resolved settings.  Hot
-paths never read settings per access: caches capture their soft-error
-injector and verify flag at construction, and the tracer binds its
-category channels whenever an ``obs*`` field changes.
+paths never read settings per access: caches capture their verify flag
+at construction, and the tracer binds its category channels whenever an
+``obs*`` field changes.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ from repro.common.errors import ConfigError
 ALL_CATEGORIES: Tuple[str, ...] = ("llc", "compression", "mem", "run",
                                    "engine", "resilience")
 
-#: what a detected soft error does
-RECOVERY_POLICIES = ("refetch", "raw", "failstop")
-
 #: what the engine does with a cell whose worker raised
 ON_ERROR_MODES = ("raise", "skip", "retry")
 
@@ -48,9 +43,6 @@ ON_ERROR_MODES = ("raise", "skip", "retry")
 FAULT_MODES = ("crash", "flaky", "hang", "kill")
 
 _FALSY = ("", "0", "false", "no", "off")
-
-#: ``(rate, index, bit)`` of the soft-error model; see :func:`_soft_errors`
-SoftErrorSpec = Tuple[float, Optional[int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -133,36 +125,6 @@ def _categories(name: str, raw: Any) -> FrozenSet[str]:
     return names or frozenset(ALL_CATEGORIES)
 
 
-def _soft_errors(name: str, raw: Any) -> SoftErrorSpec:
-    """``<rate>`` (flips per stored bit), ``@N`` or ``@N:B`` -> (rate,
-    index, bit)."""
-    text = str(raw).strip()
-    if text.lower() in _FALSY:
-        return 0.0, None, None
-    if text.startswith("@"):
-        index_part, sep, bit_part = text[1:].partition(":")
-        try:
-            index = int(index_part)
-            if sep and not bit_part:
-                raise ValueError("empty bit field")
-            bit = int(bit_part) if bit_part else None
-        except ValueError:
-            raise ConfigError(f"{name} index spec must be @N or @N:B, "
-                              f"got {text!r}")
-        if index < 0 or (bit is not None and bit < 0):
-            raise ConfigError(f"{name} index/bit must be >= 0, "
-                              f"got {text!r}")
-        return 0.0, index, bit
-    try:
-        rate = float(text)
-    except ValueError:
-        raise ConfigError(f"{name} must be a flip rate or @index[:bit], "
-                          f"got {text!r}")
-    if rate < 0.0 or rate > 1.0:
-        raise ConfigError(f"{name} rate must be in [0, 1], got {rate}")
-    return rate, None, None
-
-
 def _faults(name: str, raw: Any) -> Tuple[FaultDirective, ...]:
     """Comma-separated ``mode@index[:arg]`` or ``mode@N%`` directives."""
     directives: List[FaultDirective] = []
@@ -192,10 +154,9 @@ def _faults(name: str, raw: Any) -> Tuple[FaultDirective, ...]:
     return tuple(directives)
 
 
-def _knob(env: str, parse: Callable, default: Any, help: str,
-          results: bool = False) -> Any:
+def _knob(env: str, parse: Callable, default: Any, help: str) -> Any:
     return field(default=default, metadata={
-        "env": env, "parse": parse, "help": help, "results": results})
+        "env": env, "parse": parse, "help": help})
 
 
 @dataclass(frozen=True)
@@ -235,30 +196,12 @@ class Settings:
         "REPRO_FAULT_INJECT", _faults, (),
         "deterministic fault injection, e.g. "
         "crash@10%,flaky@1,hang@0:1.5,kill@3")
-    soft_errors: SoftErrorSpec = _knob(
-        "REPRO_SOFT_ERRORS", _soft_errors, (0.0, None, None),
-        "soft-error model: flip rate per stored bit or @index[:bit] "
-        "(default 0 = off)", results=True)
-    soft_error_policy: str = _knob(
-        "REPRO_SOFT_ERROR_POLICY", _choice(RECOVERY_POLICIES), "refetch",
-        "detected-error recovery: refetch, raw or failstop "
-        "(default refetch)", results=True)
-    soft_error_seed: int = _knob("REPRO_SOFT_ERROR_SEED", _number(int), 0,
-                                 "seed for deterministic flip offsets "
-                                 "(default 0)", results=True)
     verify: bool = _knob("REPRO_VERIFY", _flag, False,
                          "round-trip + invariant self-verification "
                          "(default 0)")
 
     def category_enabled(self, category: str) -> bool:
         return self.obs and category in self.obs_categories
-
-    def results_key(self) -> Tuple[Tuple[str, Any], ...]:
-        """``(name, value)`` of every field that changes what a
-        simulated cell computes (the checkpoint journal hashes it)."""
-        return tuple((knob.name, getattr(self, knob.name))
-                     for knob in dataclasses.fields(self)
-                     if knob.metadata["results"])
 
 
 def from_env(environ: Mapping[str, str]) -> Settings:
@@ -286,8 +229,8 @@ def current() -> Settings:
 def configure(**overrides: Any) -> Settings:
     """Override fields by name, each validated by its knob's parser.
 
-    Caches capture their injector and verify flag at construction, so
-    reconfigure *before* building the cache under test.
+    Caches capture their verify flag at construction, so reconfigure
+    *before* building the cache under test.
     """
     knobs = {knob.name: knob for knob in dataclasses.fields(Settings)}
     values = {}

@@ -119,11 +119,6 @@ def _intra(cache_class, name, config, capacity_bytes):
                        decompression_cycles=config.intra_decompression_cycles)
 
 
-def _skewed(name, config, capacity_bytes):
-    from repro.cache.skewed import SkewedCompressedCache
-    return _intra(SkewedCompressedCache, name, config, capacity_bytes)
-
-
 _CPACK = ("cpack_compress_j", "cpack_decompress_j")
 _SC2 = ("sc2_compress_j", "sc2_decompress_j")
 _LBE = ("lbe_compress_j", "lbe_decompress_j")
@@ -149,7 +144,6 @@ SCHEMES: Tuple[Scheme, ...] = (
     Scheme("MORC", MorcBuilder("lbe"), _LBE, Overheads(
         N_LINES * TAG_BITS, _LMT_BITS, 0.08, 1024, (7.81, 17.18, 25.00)),
         headline=True),
-    Scheme("Skewed", _skewed, _CPACK),
     Scheme("Uncompressed8x", partial(_uncompressed, scale=8), None),
     # Tags merged into the data logs: no tag store, the same LMT.
     Scheme("MORCMerged", MorcBuilder("lbe", merged=True), _LBE, Overheads(

@@ -20,7 +20,7 @@ import pytest
 
 from repro import settings
 from repro.common.errors import CellError, CellFailedError, ConfigError
-from repro.experiments import figure6, parallel
+from repro.experiments import checkpoint, figure6, parallel
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
 from repro.experiments.parallel import (
     EngineOptions,
@@ -290,28 +290,28 @@ def _fingerprint(run):
             sorted(run.llc_stats.items()))
 
 
-def test_resume_ignores_cells_journaled_under_other_soft_errors(
-        quiet_env, tmp_path):
-    # A journal written with soft errors on used to be replayed into a
-    # clean resume: spec_key did not hash the results-affecting knobs.
+def test_resume_reruns_a_journal_of_the_previous_schema(
+        quiet_env, tmp_path, monkeypatch):
+    # A journal from an older SCHEMA_VERSION may hash other fields into
+    # its keys, so none of its cells may be replayed.
     kwargs = dict(benchmarks=["gcc"], n_instructions=5_000,
-                  schemes=("MORC",))
+                  schemes=("Uncompressed", "MORC"))
     settings.configure(jobs=1)
-    clean = figure6.run(**kwargs).runs["MORC"][0]
     ckpt = str(tmp_path / "figure6.ckpt")
-    settings.configure(soft_errors="1e-3")
-    faulty = figure6.run(engine=EngineOptions(checkpoint=ckpt),
-                         **kwargs).runs["MORC"][0]
-    assert faulty.llc_stats.get("soft_errors_injected", 0) > 0
+    monkeypatch.setattr(checkpoint, "SCHEMA_VERSION",
+                        checkpoint.SCHEMA_VERSION - 1)
+    old = figure6.run(engine=EngineOptions(checkpoint=ckpt), **kwargs)
+    figure6.run(engine=EngineOptions(checkpoint=ckpt, resume=True),
+                **kwargs)
+    assert parallel.last_resume()["loaded"] == 2  # same schema replays
+    monkeypatch.undo()
     resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
                                                resume=True), **kwargs)
-    assert parallel.last_resume()["loaded"] == 1
-    assert _fingerprint(resumed.runs["MORC"][0]) == _fingerprint(faulty)
-    settings.reset()
-    resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
-                                               resume=True), **kwargs)
-    assert parallel.last_resume()["executed"] == 1
-    assert _fingerprint(resumed.runs["MORC"][0]) == _fingerprint(clean)
+    assert parallel.last_resume() == {"checkpoint": ckpt, "loaded": 0,
+                                      "executed": 2}
+    for scheme in kwargs["schemes"]:
+        assert (_fingerprint(resumed.runs[scheme][0])
+                == _fingerprint(old.runs[scheme][0]))
 
 
 # -- configuration ------------------------------------------------------

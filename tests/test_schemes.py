@@ -22,7 +22,6 @@ EXPECTED = {
     "Decoupled": ("Decoupled", None, True),
     "SC2": ("SC2", None, True),
     "MORC": ("MORC", "lbe", True),
-    "Skewed": ("Skewed", None, True),
     "Uncompressed8x": ("Uncompressed", None, False),
     "MORCMerged": ("MORCMerged", "lbe", True),
     "MORC-CPack": ("MORC-CPack", "cpack", True),

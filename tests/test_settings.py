@@ -43,9 +43,6 @@ CASES = {
     "retry_backoff": "soon",
     "cell_timeout": "-1",
     "fault_inject": "explode@1",
-    "soft_errors": "1.5",
-    "soft_error_policy": "shrug",
-    "soft_error_seed": "x",
     "verify": "maybe",
 }
 FREE_FORM = {"obs", "obs_trace", "verify"}
@@ -64,16 +61,10 @@ def _env(name):
 # -- the knob table ---------------------------------------------------------
 
 def test_every_knob_is_named_after_its_field():
-    assert len(KNOBS) == 15
+    assert len(KNOBS) == 12
     for knob in KNOBS:
         assert knob.metadata["env"] == _env(knob.name)
         assert knob.metadata["help"]
-
-
-def test_results_key_holds_the_soft_error_knobs():
-    marked = [name for name, _ in settings.Settings().results_key()]
-    assert marked == ["soft_errors", "soft_error_policy",
-                      "soft_error_seed"]
 
 
 def test_repro_list_prints_every_knob(capsys):
@@ -93,8 +84,13 @@ def test_performance_doc_has_one_row_per_knob():
 def test_every_mentioned_knob_exists():
     known = {knob.metadata["env"] for knob in KNOBS} | {BENCH_ONLY}
     paths = [*(ROOT / "src").rglob("*.py"), ROOT / "README.md",
-             ROOT / "DESIGN.md", *(ROOT / "docs").glob("*.md"),
-             *(ROOT / ".claude" / "skills").rglob("*.md")]
+             ROOT / "DESIGN.md", ROOT / "CONTRIBUTING.md",
+             *(ROOT / "docs").glob("*.md"),
+             *(ROOT / ".claude" / "skills").rglob("*.md"),
+             *(ROOT / "benchmarks").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py"),
+             *(ROOT / "examples").glob("*.py"),
+             *(ROOT / ".github" / "workflows").glob("*.yml")]
     stale = {f"{path.relative_to(ROOT)}: {token}"
              for path in paths if path.exists()
              for token in re.findall(r"REPRO_[A-Z_]+", path.read_text())

@@ -140,17 +140,6 @@ class TestMultiProgram:
 
 
 class TestExtraSchemes:
-    def test_skewed_in_factory(self):
-        from repro.cache.skewed import SkewedCompressedCache
-        llc = make_llc("Skewed", SystemConfig())
-        assert isinstance(llc, SkewedCompressedCache)
-
-    def test_skewed_runs_end_to_end(self):
-        result = run_single_program("gcc", "Skewed",
-                                    n_instructions=SMALL)
-        assert result.compression_ratio > 0
-        assert result.energy.total_j > 0
-
     def test_seed_offset_changes_runs(self):
         a = run_single_program("gcc", "MORC", n_instructions=SMALL,
                                seed_offset=0)
