@@ -99,6 +99,9 @@ _CAP4, _CAP8, _CAP16, _CAP32 = (DICT_CAPACITY[4], DICT_CAPACITY[8],
 #: a limit no line reaches: an encoding is at most 16 u32 literals
 _NO_LIMIT = 1 << 30
 
+#: the pending entries of a size no block of the line has failed at yet
+_NOTHING_PENDING = frozenset()
+
 
 @dataclass(frozen=True, slots=True)
 class Symbol:
@@ -215,10 +218,10 @@ _LITERAL_KIND = {_SYMBOL_BITS[kind]: kind for kind in _LITERAL_BITS}
 _U8_BITS, _U16_BITS, _U32_BITS = (_SYMBOL_BITS["u8"], _SYMBOL_BITS["u16"],
                                   _SYMBOL_BITS["u32"])
 
-#: the plan's node for an all-zero 256/128/64-bit block and for a zero
-#: word, shared by every plan
+#: the plan's node for an all-zero 256/128-bit block and for an
+#: all-zero 64-bit block, shared by every plan
 _ZERO_BLOCK = (None, ())
-_ZERO_WORD = (None, 0)
+_ZERO_QUARTER = (None, None, 0, None, 0)
 
 #: the smallest encoding of a 256-bit chunk in any dictionary: ``z256``
 #: for an all-zero chunk, else ``m256`` (any split costs more: its best
@@ -228,15 +231,19 @@ _CHUNK_FLOOR = _SYMBOL_BITS["m256"]
 
 
 def _quarter_node(quarter: bytes) -> tuple:
-    """A non-zero 64-bit block's plan node and its two word nodes."""
+    """A non-zero 64-bit block's plan node, its two words inline."""
     high, low = quarter[:4], quarter[4:]
-    return (quarter, (
-        _ZERO_WORD if high == _Z4 else
-        (high, _U32_BITS if high[0] or high[1] else
-         _U16_BITS if high[2] else _U8_BITS),
-        _ZERO_WORD if low == _Z4 else
-        (low, _U32_BITS if low[0] or low[1] else
-         _U16_BITS if low[2] else _U8_BITS)))
+    if high == _Z4:
+        return (quarter, None, 0, low,
+                _U32_BITS if low[0] or low[1] else
+                _U16_BITS if low[2] else _U8_BITS)
+    high_bits = (_U32_BITS if high[0] or high[1] else
+                 _U16_BITS if high[2] else _U8_BITS)
+    if low == _Z4:
+        return (quarter, high, high_bits, None, 0)
+    return (quarter, high, high_bits, low,
+            _U32_BITS if low[0] or low[1] else
+            _U16_BITS if low[2] else _U8_BITS)
 
 
 def _half_node(half: bytes) -> tuple:
@@ -244,20 +251,22 @@ def _half_node(half: bytes) -> tuple:
     if half == _Z16:
         return _ZERO_BLOCK
     low, high = half[:8], half[8:]
-    return (half, (_ZERO_BLOCK if low == _Z8 else _quarter_node(low),
-                   _ZERO_BLOCK if high == _Z8 else _quarter_node(high)))
+    return (half, (_ZERO_QUARTER if low == _Z8 else _quarter_node(low),
+                   _ZERO_QUARTER if high == _Z8 else _quarter_node(high)))
 
 
 def _decompose(line: bytes) -> tuple:
     """Split a line into LBE's aligned 32/16/8/4-byte blocks, once.
 
     This is the line's plan, walked by every trial and by the commit.
-    Each level is a tuple of ``(block, children)`` pairs in encoding
-    order.  An all-zero block, which encodes as its z* symbol and is
-    never split, is recorded as ``None``; a 4-byte word's "children" is
-    the width of the literal symbol it needs when nothing matches it
+    The 256- and 128-bit levels are tuples of ``(block, children)``
+    pairs in encoding order; a 64-bit block's node is ``(block, high
+    word, its width, low word, its width)``, a word's width being that
+    of the literal symbol it needs when nothing matches it
     (significance compression: ``u8``/``u16`` when its upper bytes are
-    zero, else ``u32``).  Zero nodes are shared by every plan.
+    zero, else ``u32``).  An all-zero block or word, which encodes as
+    its z* symbol and is never split, is recorded as ``None`` (a zero
+    word with width 0).  Zero nodes are shared by every plan.
     """
     first, second = line[:32], line[32:]
     return (
@@ -289,19 +298,19 @@ def _measure_tree(tree: tuple, dictionary: LbeDictionary,
     table yet (that is why it failed), and the chunk's own failures are
     kept apart until it ends, so each is allocated once and in order.
 
+    A line is two chunks, so the coarse blocks pending for the second
+    chunk are the first chunk's failures, allocated when it ends; until
+    then nothing is pending at those sizes, and a walk that stops in the
+    first chunk builds no tables for them.
+
     The running count only grows, so the walk stops and returns None
-    once it is over ``limit``; a size it does return is exact, and may
-    still be over ``limit`` when the last blocks passed it.
+    once it is over ``limit``; a size it returns is exact and at most
+    ``limit``.
     """
     m4, m8, m16, m32, v4, v8, v16, v32 = dictionary._tables
     room4 = _CAP4 - len(v4)
-    room8 = _CAP8 - len(v8)
-    room16 = _CAP16 - len(v16)
-    room32 = _CAP32 - len(v32)
     a4 = {}
-    a8 = {}
-    a16 = {}
-    a32 = {}
+    a8 = a16 = a32 = _NOTHING_PENDING
     bits = 0
     # each chunk is its own slice of the line, so identity finds the last
     last = tree[-1][0]
@@ -321,43 +330,46 @@ def _measure_tree(tree: tuple, dictionary: LbeDictionary,
             if half in m16 or half in a16:
                 bits += 10          # m128
                 continue
-            for quarter, words in quarters:
+            for quarter, high, high_bits, low, low_bits in quarters:
                 if quarter is None:
                     bits += 4       # z64
                     continue
                 if quarter in m8 or quarter in a8:
                     bits += 10      # m64
                     continue
-                for word, literal_bits in words:
-                    if word is None:
-                        bits += 4   # z32
-                    elif word in m4 or word in a4:
-                        bits += 9   # m32
-                    else:
-                        bits += literal_bits
-                        if room4:
-                            a4[word] = None
-                            room4 -= 1
+                if high is None:
+                    bits += 4       # z32
+                elif high in m4 or high in a4:
+                    bits += 9       # m32
+                else:
+                    bits += high_bits
+                    if room4:
+                        a4[high] = None
+                        room4 -= 1
+                if low is None:
+                    bits += 4
+                elif low in m4 or low in a4:
+                    bits += 9
+                else:
+                    bits += low_bits
+                    if room4:
+                        a4[low] = None
+                        room4 -= 1
                 if bits > limit:
                     return None
                 failed8[quarter] = None
             failed16[half] = None
         if chunk is last:
             break                   # no later chunk can match these
-        for quarter in failed8:
-            if not room8:
-                break
-            a8[quarter] = None
-            room8 -= 1
-        for half in failed16:
-            if not room16:
-                break
-            a16[half] = None
-            room16 -= 1
-        if room32:
-            a32[chunk] = None
-            room32 -= 1
-    return bits
+        room = _CAP8 - len(v8)
+        a8 = (failed8 if len(failed8) <= room
+              else dict.fromkeys(list(failed8)[:room]))
+        room = _CAP16 - len(v16)
+        a16 = (failed16 if len(failed16) <= room
+               else dict.fromkeys(list(failed16)[:room]))
+        if len(v32) < _CAP32:
+            a32 = {chunk: None}
+    return bits if bits <= limit else None
 
 
 def _encode_tree(tree: tuple, dictionary: LbeDictionary
@@ -398,7 +410,7 @@ def _encode_tree(tree: tuple, dictionary: LbeDictionary
             if index is not None:
                 emit(match16[index])
                 continue
-            for quarter, words in quarters:
+            for quarter, high, high_bits, low, low_bits in quarters:
                 if quarter is None:
                     emit(zero8)
                     continue
@@ -406,7 +418,8 @@ def _encode_tree(tree: tuple, dictionary: LbeDictionary
                 if index is not None:
                     emit(match8[index])
                     continue
-                for word, literal_bits in words:
+                for word, literal_bits in ((high, high_bits),
+                                           (low, low_bits)):
                     if word is None:
                         emit(zero4)
                         continue
@@ -467,24 +480,33 @@ def _commit_tree(tree: tuple, dictionary: LbeDictionary) -> Dict[str, int]:
             if half in m16:
                 counts["m128"] += 1
                 continue
-            for quarter, words in quarters:
+            for quarter, high, high_bits, low, low_bits in quarters:
                 if quarter is None:
                     counts["z64"] += 1
                     continue
                 if quarter in m8:
                     counts["m64"] += 1
                     continue
-                for word, literal_bits in words:
-                    if word is None:
-                        counts["z32"] += 1
-                    elif word in m4:
-                        counts["m32"] += 1
-                    else:
-                        counts[literal_kind[literal_bits]] += 1
-                        if n4 < _CAP4:
-                            m4[word] = n4
-                            v4.append(word)
-                            n4 += 1
+                if high is None:
+                    counts["z32"] += 1
+                elif high in m4:
+                    counts["m32"] += 1
+                else:
+                    counts[literal_kind[high_bits]] += 1
+                    if n4 < _CAP4:
+                        m4[high] = n4
+                        v4.append(high)
+                        n4 += 1
+                if low is None:
+                    counts["z32"] += 1
+                elif low in m4:
+                    counts["m32"] += 1
+                else:
+                    counts[literal_kind[low_bits]] += 1
+                    if n4 < _CAP4:
+                        m4[low] = n4
+                        v4.append(low)
+                        n4 += 1
                 failed8[quarter] = None
             failed16[half] = None
         for quarter in failed8:
@@ -559,13 +581,14 @@ class LbeCompressor:
         :meth:`CompressedLine.kind_bytes`, with the same entries
         allocated.  MORC commits every fill this way and keeps no stream.
         """
-        line, plan = self._plan_for(line)
+        if line != self._line:
+            self._plan_for(line)
         bits = 0
         usage: Dict[str, int] = {}
-        for kind, count in _commit_tree(plan, dictionary).items():
+        for kind, count in _commit_tree(self._plan, dictionary).items():
             bits += count * _SYMBOL_BITS[kind]
             usage[kind] = count * _SIZE_FOR_KIND[kind]
-        compression_event("lbe", line, bits)
+        compression_event("lbe", self._line, bits)
         return bits, usage
 
     def measure(self, line: bytes, dictionary: LbeDictionary,
@@ -581,15 +604,13 @@ class LbeCompressor:
         stops once it passes it, and a limit below the plan's floor (its
         chunks' smallest encodings) needs no walk at all.
         """
-        _, plan = self._plan_for(line)
+        if line != self._line:
+            self._plan_for(line)
         if limit is None:
-            return _measure_tree(plan, dictionary)
+            return _measure_tree(self._plan, dictionary)
         if limit < self._floor:
             return None
-        bits = _measure_tree(plan, dictionary, limit)
-        if bits is None or bits > limit:
-            return None
-        return bits
+        return _measure_tree(self._plan, dictionary, limit)
 
     # -- decompression ------------------------------------------------------
 

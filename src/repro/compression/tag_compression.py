@@ -134,13 +134,16 @@ class TagCompressor:
                                  + SIGN_BITS)
         #: the smallest token: a delta with no precision bits
         self.min_token_bits = self._delta_base_bits
+        #: the largest token: a new base, wider than any delta
+        self.max_token_bits = self._new_base_bits
 
     def new_stream(self) -> TagStream:
         """Start a fresh per-log stream."""
         return TagStream(n_bases=self.n_bases)
 
-    def append(self, stream: TagStream, line_address: int) -> TagToken:
-        """Encode ``line_address`` (address // 64) onto ``stream``.
+    def append(self, stream: TagStream, line_address: int) -> int:
+        """Encode ``line_address`` (address // 64) onto ``stream`` and
+        return its size in bits, building no token.
 
         Each base is sized by :meth:`measure`'s rule; the first of the
         smallest deltas wins, else a new base replaces the least
@@ -149,7 +152,7 @@ class TagCompressor:
         if line_address < 0:
             raise CompressionError("line address must be non-negative")
         best_slot = -1
-        best_extra = best_delta = 0
+        best_extra = 0
         slot = 0
         for base in stream.bases:
             if base is not None:
@@ -160,25 +163,39 @@ class TagCompressor:
                     if extra < 0:
                         extra = 0
                     if best_slot < 0 or extra < best_extra:
-                        best_slot, best_extra, best_delta = slot, extra, delta
+                        best_slot, best_extra = slot, extra
             slot += 1
         if best_slot < 0:
-            token = TagToken("new_base", stream.lru[0], self._new_base_bits,
-                             line_address=line_address)
+            best_slot = stream.lru[0]
+            bits = self._new_base_bits
         else:
-            code, extra, value = distance_code(abs(best_delta))
-            token = TagToken("delta", best_slot, self._delta_base_bits + extra,
-                             code, 1 if best_delta < 0 else 0, value)
-        self._apply(stream, token, line_address)
-        stream.total_bits += token.size_bits
+            bits = self._delta_base_bits + best_extra
+        self._apply(stream, best_slot, line_address)
+        stream.total_bits += bits
         stream.n_tags += 1
-        return token
+        return bits
+
+    def append_token(self, stream: TagStream,
+                     line_address: int) -> TagToken:
+        """:meth:`append`, returning the token it emitted (what
+        :meth:`decode` reads back)."""
+        bases = list(stream.bases)
+        bits = self.append(stream, line_address)
+        slot = stream.lru[-1]
+        if bits == self._new_base_bits:
+            return TagToken("new_base", slot, bits,
+                            line_address=line_address)
+        delta = line_address - bases[slot]
+        code, _, value = distance_code(abs(delta))
+        return TagToken("delta", slot, bits, code, 1 if delta < 0 else 0,
+                        value)
 
     @staticmethod
-    def _apply(stream: TagStream, token: TagToken, line_address: int) -> None:
-        stream.bases[token.base_slot] = line_address
-        stream.lru.remove(token.base_slot)
-        stream.lru.append(token.base_slot)
+    def _apply(stream: TagStream, slot: int, line_address: int) -> None:
+        """Make ``line_address`` the base in ``slot``, most recently used."""
+        stream.bases[slot] = line_address
+        stream.lru.remove(slot)
+        stream.lru.append(slot)
 
     def measure(self, stream: TagStream, line_address: int) -> int:
         """Encoded size in bits without mutating ``stream``."""
@@ -211,6 +228,6 @@ class TagCompressor:
                     raise CompressionError("delta against an unset base")
                 distance = decode_distance(token.code, token.precision_value)
                 address = base - distance if token.sign else base + distance
-            self._apply(stream, token, address)
+            self._apply(stream, token.base_slot, address)
             addresses.append(address)
         return addresses

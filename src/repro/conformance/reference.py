@@ -698,8 +698,7 @@ class RefMorcCache:
         if self.algorithm == "raw":
             tag_bits = UNCOMPRESSED_TAG_BITS
         else:
-            tag_bits = self._tags.append(log.tag_stream,
-                                         line_address).size_bits
+            tag_bits = self._tags.append(log.tag_stream, line_address)
         if not log.fits(data_bits, tag_bits) and not log.entries:
             data_bits = max(0, log.free_data_bits() - tag_bits)
         self._count("compressions")

@@ -3,9 +3,10 @@
 - :mod:`repro.morc.log` — append-only fixed-size logs holding compressed
   data + compressed tags
 - :mod:`repro.morc.lmt` — the Line-Map Table indirection layer
-- :mod:`repro.morc.policies` — multi-log (content-aware) placement
-- :mod:`repro.morc.cache` — the full cache: fills, reads, write-backs,
-  LMT-conflict and whole-log evictions, MORCMerged
+- :mod:`repro.morc.codecs` — the data and tag codecs behind one interface
+- :mod:`repro.morc.cache` — the full cache: fills, multi-log
+  (content-aware) placement, reads, write-backs, LMT-conflict and
+  whole-log evictions, MORCMerged
 """
 
 from repro.morc.anatomy import MorcAnatomy, analyze, analyze_benchmark

@@ -37,7 +37,6 @@ from repro.compression.tag_compression import FULL_TAG_BITS
 from repro.morc.codecs import make_codecs
 from repro.morc.lmt import LineMapTable, LmtEntry, LmtState
 from repro.morc.log import Log, LogEntry
-from repro.morc.policies import PlacementCandidate, choose_log
 from repro.obs import trace as obs_trace
 from repro.resilience import verify as res_verify
 
@@ -222,50 +221,97 @@ class MorcCache(LLCInterface):
     def _append_line(self, line_address: int, data: bytes,
                      result: FillResult) -> LogEntry:
         """Compress-and-append into the best active log."""
-        candidates = self._trial_all(line_address, data)
-        choice = choose_log(candidates, self.config.fudge_factor)
-        if choice is None:
-            fresh = self._retire_and_refresh(result)
-            return self._commit_append(fresh, line_address, data)
-        return self._commit_append(choice.log, line_address, data)
+        log = self._trial_all(line_address, data)
+        if log is None:
+            log = self._retire_and_refresh(result)
+        return self._commit_append(log, line_address, data)
 
-    def _trial_all(self, line_address: int,
-                   data: bytes) -> List[PlacementCandidate]:
-        """The active logs the line fits in, with its sizes in each.
+    def _trial_all(self, line_address: int, data: bytes) -> Optional[Log]:
+        """The active log to append the line to, or None when it fits in
+        none (paper §3.2.3).
 
-        Placement only needs sizes that fit (:func:`choose_log`), so each
-        log is asked for the tag first and then for the data within the
-        room the tag leaves (:meth:`Log.data_room`); a log with no room
-        for the codec's smallest tag is not asked at all.
+        One pass over the active logs sizes the line in each it fits in
+        and keeps the running smallest, largest and roomiest fit.  The
+        choice scores the compressed *data* size only (the tag is an
+        addressing artefact: scored, the warmest tag stream would
+        attract every line and defeat content segregation).  When every
+        fitting size is within ``fudge_factor`` of the largest, the log
+        with the most free space wins, seeding distinct data across
+        logs; otherwise the smallest size wins.  Ties go to the earliest
+        active log.
+
+        Each log makes one room decision (:meth:`Log.data_room`, the one
+        fit rule).  The tag is sized only where the room depends on it:
+        a separate tag region with room for the tag codec's largest
+        token leaves the same data room for any tag, so only merged logs
+        and fuller regions measure it, and a region without room for the
+        smallest token is refused without sizing it.  The data codec is
+        asked only whether the line fits the room.  The spread of the
+        sizes only grows as logs are added, so once two sizes differ by
+        more than the fudge factor only a strictly smaller size can
+        change the choice, and every later trial is bounded by one bit
+        under the smallest.  Every active log still counts as a trial.
         """
         trial = self._codec.trial
         tags = self._tag_compressor
-        measure_tag, smallest_tag = tags.measure, tags.min_token_bits
-        candidates: List[PlacementCandidate] = []
+        measure_tag = tags.measure
+        smallest_tag, largest_tag = tags.min_token_bits, tags.max_token_bits
+        fudge_factor = self.config.fudge_factor
+        logs = self.logs
+        best = roomiest = None
+        low = high = most_free = 0
+        settled = False
         for index in self._active:
-            log = self.logs[index]
-            if log.data_room(smallest_tag) is None:
-                continue
-            tag_bits = measure_tag(log.tag_stream, line_address)
+            log = logs[index]
+            # Any tag leaves a separate region with room for the largest
+            # the same data room; only a merged log's or a fuller
+            # region's room needs this line's tag sized.
+            tag_bits = largest_tag
+            if log.merged:
+                tag_bits = measure_tag(log.tag_stream, line_address)
+            elif log.tag_capacity_bits is not None:
+                tag_left = log.tag_capacity_bits - log.tag_bits_used
+                if tag_left < largest_tag:
+                    tag_bits = (smallest_tag if tag_left < smallest_tag
+                                else measure_tag(log.tag_stream,
+                                                 line_address))
             room = log.data_room(tag_bits)
             if room is None:
                 continue
-            data_bits = trial(log.codec_state, data, room)
-            if data_bits is not None:
-                candidates.append(PlacementCandidate(log, data_bits,
-                                                     tag_bits))
+            if settled:
+                if room >= low:
+                    room = low - 1
+                bits = trial(log.codec_state, data, room)
+                if bits is not None:
+                    best, low = log, bits
+                continue
+            bits = trial(log.codec_state, data, room)
+            if bits is None:
+                continue
+            if best is None:
+                best = roomiest = log
+                low = high = bits
+                most_free = log.free_data_bits
+                continue
+            if bits < low:
+                best, low = log, bits
+            elif bits > high:
+                high = bits
+            free = log.free_data_bits
+            if free > most_free:
+                roomiest, most_free = log, free
+            settled = high > 0 and (high - low) / high > fudge_factor
         self.stats.add("trial_compressions", len(self._active))
-        return candidates
+        return best if settled or not high else roomiest
 
     def _commit_append(self, log: Log, line_address: int,
                        data: bytes) -> LogEntry:
         data_bits, usage = self._codec.commit(log.codec_state, data,
                                               self.name)
-        tag_bits = self._tag_compressor.append(log.tag_stream,
-                                               line_address).size_bits
+        tag_bits = self._tag_compressor.append(log.tag_stream, line_address)
         if usage is not None:
             self._account_usage(usage)
-        if not log.fits(data_bits, tag_bits) and not log.entries:
+        if not log.entries and not log.fits(data_bits, tag_bits):
             # A tiny log (Figure 13a's 64B point) cannot even hold one raw
             # line plus its tag; clamp so the entry consumes the whole log.
             data_bits = max(0, log.free_data_bits - tag_bits)

@@ -29,7 +29,6 @@ from repro.compression.lz import LzHistory, LzStreamCompressor
 from repro.compression.tag_compression import (
     FULL_TAG_BITS,
     TagCompressor,
-    TagToken,
     VALID_BITS,
 )
 from repro.resilience import verify as res_verify
@@ -138,8 +137,8 @@ class LzCodec:
 class RawTags:
     """Uncompressed tags: the full line address plus a valid bit."""
 
-    #: the size of every token, so also the smallest
-    min_token_bits = UNCOMPRESSED_TAG_BITS
+    #: the size of every token, so also the smallest and the largest
+    min_token_bits = max_token_bits = UNCOMPRESSED_TAG_BITS
 
     def new_stream(self) -> None:
         return None
@@ -147,9 +146,8 @@ class RawTags:
     def measure(self, stream, line_address: int) -> int:
         return UNCOMPRESSED_TAG_BITS
 
-    def append(self, stream, line_address: int) -> TagToken:
-        return TagToken("raw", 0, UNCOMPRESSED_TAG_BITS,
-                        line_address=line_address)
+    def append(self, stream, line_address: int) -> int:
+        return UNCOMPRESSED_TAG_BITS
 
 
 _CODECS = {"lbe": LbeCodec, "cpack": CPackCodec, "lz": LzCodec}

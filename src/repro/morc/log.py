@@ -103,10 +103,12 @@ class Log:
 
     def append(self, line_address: int, data: bytes, data_bits: int,
                tag_bits: int) -> LogEntry:
-        """Append a compressed line; caller must have checked :meth:`fits`."""
+        """Append a compressed line; one that does not fit
+        (:meth:`data_room`) is an overflow."""
         if self.closed:
             raise CacheError(f"append to closed log {self.index}")
-        if not self.fits(data_bits, tag_bits):
+        room = self.data_room(tag_bits)
+        if room is None or data_bits > room:
             raise CacheError(f"log {self.index} overflow")
         entry = LogEntry(line_address=line_address, data=data,
                          position=len(self.entries), data_bits=data_bits,

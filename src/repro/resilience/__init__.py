@@ -1,8 +1,10 @@
 """``repro.resilience`` — opt-in self-verification of the data plane.
 
 :mod:`repro.resilience.verify` holds the round-trip checks and cache
-invariant audits that ``REPRO_VERIFY=1`` turns on.  They are read-only,
-so a verified run's outputs are bit-identical to an unverified one.
+invariant audits that ``REPRO_VERIFY=1`` turns on; callers import that
+module, and the package itself exports nothing.  The checks are
+read-only, so a verified run's outputs are bit-identical to an
+unverified one.
 
 Failures emit ``verify_fail`` events on the ``resilience`` category of
 :mod:`repro.obs.trace`, which ``python -m repro obs`` renders.  The knob
@@ -14,9 +16,3 @@ it at runtime::
     ...
     settings.reset()   # back to the environment's settings
 """
-
-from __future__ import annotations
-
-from repro.resilience.verify import audit, verification_enabled
-
-__all__ = ["audit", "verification_enabled"]

@@ -1,10 +1,9 @@
 """Differential test of MORC's fill path against the LBE oracles.
 
 Every fill of a real trace replay is checked as it happens.  The trial
-offers exactly the active logs the oracle's size and the tag fit in
-(:meth:`Log.fits`), each with the oracle's size; the log it leads to is
-the one the literal placement rule of :mod:`repro.conformance.reference`
-picks from all-exact oracle trials of every active log; the commit,
+returns the log the literal placement rule of
+:mod:`repro.conformance.reference` picks from all-exact oracle trials of
+every active log, and leaves every dictionary as it was; the commit,
 which keeps no symbol stream, charges the oracle stream's clamped size
 and adds the oracle stream's bytes per symbol kind to Figure 7's
 counters; the production encoder's stream equals the oracle's; and the
@@ -30,27 +29,14 @@ from repro.conformance.oracles import (
     reference_lbe_compress,
     reference_lbe_measure,
 )
-from repro.conformance.reference import RefMorcCache
 from repro.mem.controller import MemoryChannel
 from repro.morc.cache import MorcCache
 from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
 from repro.sim.core import CoreSimulator
 from repro.workloads.spec import make_trace
+from tests.test_placement import literal_choice
 
 pytestmark = pytest.mark.conformance
-
-
-class _LiteralLog:
-    """A production log as the reference's placement rule reads one."""
-
-    def __init__(self, log) -> None:
-        self.log = log
-
-    def fits(self, data_bits: int, tag_bits: int) -> bool:
-        return self.log.fits(data_bits, tag_bits)
-
-    def free_data_bits(self) -> int:
-        return self.log.free_data_bits
 
 
 class OracleCheckedMorc(MorcCache):
@@ -69,26 +55,19 @@ class OracleCheckedMorc(MorcCache):
                      UNCOMPRESSED_LINE_BITS) for log in logs]
         tags = [self._tag_compressor.measure(log.tag_stream, line_address)
                 for log in logs]
-        candidates = super()._trial_all(line_address, data)
-        # The candidates are the logs the line fits in, in active order,
-        # each with the oracle's clamped size; every other log is one
-        # where the oracle's size or the tag does not fit.
-        assert [(c.log, c.data_bits, c.tag_bits) for c in candidates] == [
-            (log, bits, tag) for log, bits, tag in zip(logs, exact, tags)
-            if log.fits(bits, tag)]
-        self.left_out += len(logs) - len(candidates)
-        # A bounded walk never leaves a partial size in the memo.
-        assert [self._codec.compressor.measure(data, log.codec_state)
-                for log in logs] == [reference_lbe_measure(
-                    data, log.codec_state) for log in logs]
-        # The reference's rule reads nothing of its cache but
-        # ``config.fudge_factor``, which this cache has too.
-        literal = RefMorcCache._choose_log(self, [
-            (_LiteralLog(log), bits, tag)
-            for log, bits, tag in zip(logs, exact, tags)])
-        self._expected_log = None if literal is None else literal[0].log
+        self.left_out += sum(not log.fits(bits, tag)
+                             for log, bits, tag in zip(logs, exact, tags))
+        # The pass picks the log the literal rule picks from all-exact
+        # oracle trials of every active log, or None when none fits.
+        self._expected_log = literal_choice(self, line_address, data)
+        before = [log.codec_state.copy() for log in logs]
+        choice = super()._trial_all(line_address, data)
+        assert choice is self._expected_log
+        # The bounded trials left every dictionary as it was.
+        for log, copy in zip(logs, before):
+            assert log.codec_state._values == copy._values
         self.fills += 1
-        return candidates
+        return choice
 
     def _commit_append(self, log, line_address, data):
         if self._expected_log is None:

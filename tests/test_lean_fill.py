@@ -4,14 +4,18 @@ Each piece below was rewritten to do less work per fill and must make
 exactly the decisions of the plain rule it replaced, kept here as the
 reference:
 
-- :func:`repro.morc.policies.choose_log` takes one pass over the
-  candidates; the reference takes ``min``/``max`` with key functions.
+- :meth:`repro.morc.cache.MorcCache._trial_all` chooses the log in the
+  same pass that sizes the line, bounding later trials once the choice
+  is settled; the reference takes ``min``/``max`` with key functions
+  over every size.
 - :meth:`repro.compression.tag_compression.TagCompressor.append` sizes
-  each base by :meth:`~TagCompressor.measure`'s O(1) rule and builds one
-  token; the reference builds a token per base with
+  each base by :meth:`~TagCompressor.measure`'s O(1) rule and builds no
+  token (:meth:`~TagCompressor.append_token` rebuilds the one it
+  emitted); the reference builds a token per base with
   :func:`distance_code` and keeps the first smallest.
-- :func:`repro.compression.lbe._decompose` builds word nodes inline and
-  shares its zero nodes; the reference nests a loop per level.
+- :func:`repro.compression.lbe._decompose` builds each 64-bit node with
+  its two words inline and shares its zero nodes; the reference nests a
+  loop per level.
 
 The floor that lets a bounded LBE trial skip its walk is held to the
 seed oracle at every limit by ``tests/test_size_kernels.py``
@@ -33,26 +37,27 @@ from repro.compression.lbe import (
 from repro.compression.tag_compression import (
     MAX_DISTANCE,
     TagCompressor,
+    TagStream,
     TagToken,
     distance_code,
 )
-from repro.morc.log import Log
-from repro.morc.policies import PlacementCandidate, choose_log
+from tests.test_policies import active, sized_cache
 
 
 # -- references: the rules the lean code replaced -----------------------------
 
 def reference_choose_log(candidates, fudge_factor=0.05):
+    """``candidates``: (log, data bits) for each log the line fits in."""
     if not candidates:
         return None
-    best = min(candidates, key=lambda c: c.data_bits)
-    worst = max(candidates, key=lambda c: c.data_bits)
-    if worst.data_bits == 0:
-        return best
-    spread = (worst.data_bits - best.data_bits) / worst.data_bits
+    best = min(candidates, key=lambda c: c[1])
+    worst = max(candidates, key=lambda c: c[1])
+    if worst[1] == 0:
+        return best[0]
+    spread = (worst[1] - best[1]) / worst[1]
     if spread <= fudge_factor:
-        return max(candidates, key=lambda c: c.log.free_data_bits)
-    return best
+        return max(candidates, key=lambda c: c[0].free_data_bits)[0]
+    return best[0]
 
 
 def reference_append(compressor, stream, line_address):
@@ -72,7 +77,7 @@ def reference_append(compressor, stream, line_address):
     if best is None:
         best = TagToken("new_base", stream.lru[0], compressor._new_base_bits,
                         line_address=line_address)
-    TagCompressor._apply(stream, best, line_address)
+    TagCompressor._apply(stream, best.base_slot, line_address)
     stream.total_bits += best.size_bits
     stream.n_tags += 1
     return best
@@ -96,59 +101,49 @@ def reference_decompose(line):
             quarters = []
             for quarter in (half[:8], half[8:]):
                 if quarter == _Z8:
-                    quarters.append((None, ()))
+                    quarters.append((None, None, 0, None, 0))
                     continue
-                words = []
+                node = [quarter]
                 for word in (quarter[:4], quarter[4:]):
                     if word == _Z4:
-                        words.append((None, 0))
-                        continue
-                    if word[0] or word[1]:
-                        words.append((word, _U32))
+                        node += [None, 0]
+                    elif word[0] or word[1]:
+                        node += [word, _U32]
                     elif word[2]:
-                        words.append((word, _U16))
+                        node += [word, _U16]
                     else:
-                        words.append((word, _U8))
-                quarters.append((quarter, tuple(words)))
+                        node += [word, _U8]
+                quarters.append(tuple(node))
             halves.append((half, tuple(quarters)))
         tree.append((chunk, tuple(halves)))
     return tuple(tree)
 
 
-# -- choose_log ------------------------------------------------------------------
-
-def log_with(index, used_bits):
-    log = Log(index=index, data_capacity_bits=4096, tag_capacity_bits=None)
-    if used_bits:
-        log.append(0, bytes(64), used_bits, 0)
-    return log
-
+# -- the log choice --------------------------------------------------------------
 
 #: few distinct values, so sizes and free space tie often
 candidate_specs = st.lists(
     st.tuples(st.sampled_from([0, 1, 95, 96, 97, 100, 120, 512]),
-              st.sampled_from([0, 8, 2000]),
-              st.integers(0, 40)),
-    max_size=8)
+              st.sampled_from([0, 8, 2000, 3600])),
+    min_size=1, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
-@given(candidate_specs, st.sampled_from([0.0, 0.05, 0.2, 1.0]))
+@given(candidate_specs, st.sampled_from([0.0, 0.05, 0.2, 0.99]))
 def test_choose_log_matches_the_min_max_rule(specs, fudge_factor):
-    candidates = [PlacementCandidate(log_with(index, used), data_bits, tag)
-                  for index, (data_bits, used, tag) in enumerate(specs)]
-    assert (choose_log(candidates, fudge_factor)
+    sizes, used = zip(*specs)
+    cache = sized_cache(list(sizes), used, fudge_factor)
+    candidates = [(log, bits) for log, bits in zip(active(cache), sizes)
+                  if bits <= log.free_data_bits]
+    assert (cache._trial_all(7, bytes(64))
             is reference_choose_log(candidates, fudge_factor))
 
 
 def test_choose_log_ties_go_to_the_earliest():
-    fuller, emptier, twin = log_with(0, 2000), log_with(1, 8), log_with(2, 8)
-    same = [PlacementCandidate(log, 100, 10) for log in (fuller, emptier, twin)]
-    assert choose_log(same).log is emptier      # tied free space
-    split = [PlacementCandidate(fuller, 50, 10),
-             PlacementCandidate(emptier, 100, 10),
-             PlacementCandidate(twin, 50, 10)]
-    assert choose_log(split).log is fuller      # tied smallest size
+    cache = sized_cache([100, 100, 100], used=[2000, 8, 8])
+    assert cache._trial_all(7, bytes(64)) is active(cache)[1]  # tied free
+    cache = sized_cache([50, 100, 50], used=[2000, 8, 8])
+    assert cache._trial_all(7, bytes(64)) is active(cache)[0]  # tied size
 
 
 # -- TagCompressor.append ----------------------------------------------------------
@@ -169,8 +164,12 @@ def test_append_matches_the_per_slot_scan(n_bases, line_addresses):
     live, reference = compressor.new_stream(), compressor.new_stream()
     for line_address in line_addresses:
         measured = compressor.measure(live, line_address)
-        token = compressor.append(live, line_address)
+        twin = TagStream(n_bases, list(live.bases), list(live.lru),
+                         live.total_bits, live.n_tags)
+        token = compressor.append_token(live, line_address)
         expected = reference_append(compressor, reference, line_address)
+        assert compressor.append(twin, line_address) == expected.size_bits
+        assert twin == reference
         assert tuple(token) == tuple(expected)
         assert token._fields == expected._fields
         assert measured == expected.size_bits
@@ -181,7 +180,7 @@ def test_append_tie_goes_to_the_first_base():
     compressor = TagCompressor(n_bases=2)
     stream = compressor.new_stream()
     for line_address in (100, 40_100, 20_100):
-        token = compressor.append(stream, line_address)
+        token = compressor.append_token(stream, line_address)
     # 20,100 is 20,000 lines from both bases: the first slot wins
     assert (token.kind, token.base_slot, token.sign) == ("delta", 0, 0)
 

@@ -1,7 +1,7 @@
 """Tests for multi-log placement (paper §3.2.3).
 
-:meth:`MorcCache._trial_all` offers only the active logs a line fits in;
-:func:`choose_log` picks among them.
+:meth:`MorcCache._trial_all` sizes the line in every active log it fits
+in and returns the log to append it to, or None when it fits in none.
 """
 
 import random
@@ -9,77 +9,91 @@ import random
 from repro.common.config import MorcConfig
 from repro.compression.tag_compression import TagCompressor
 from repro.morc.cache import MorcCache
-from repro.morc.log import Log
-from repro.morc.policies import PlacementCandidate, choose_log
+from tests.test_placement import literal_choice
 
 
-def make_log(index, capacity_bits=4096, used_bits=0):
-    log = Log(index=index, data_capacity_bits=capacity_bits,
-              tag_capacity_bits=None)
-    if used_bits:
-        log.append(0, bytes(64), used_bits, 0)
-    return log
+def fresh_cache(**overrides):
+    """8KB MORC with four active logs (16 logs in all)."""
+    overrides.setdefault("n_active_logs", 4)
+    return MorcCache(8 * 1024, MorcConfig(**overrides))
 
 
-def candidate(log, data_bits, tag_bits=10):
-    return PlacementCandidate(log=log, data_bits=data_bits,
-                              tag_bits=tag_bits)
+def active(cache):
+    return [cache.logs[index] for index in cache._active]
+
+
+class SizedCodec:
+    """A data codec whose size in each log the test sets: a log's codec
+    state is its position among the active logs."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+        self.asked = []
+
+    def trial(self, state, data, limit):
+        self.asked.append((state, limit))
+        bits = self.sizes[state]
+        return bits if bits <= limit else None
+
+
+def sized_cache(sizes, used=(), fudge_factor=0.05):
+    """A cache whose active logs take a line in ``sizes[i]`` data bits,
+    after ``used[i]`` bits of earlier lines; tags never limit a fit."""
+    cache = fresh_cache(n_active_logs=len(sizes), fudge_factor=fudge_factor,
+                        unlimited_metadata=True)
+    for position, log in enumerate(active(cache)):
+        log.codec_state = position
+        if position < len(used) and used[position]:
+            log.append(0, bytes(64), used[position], 0)
+    cache._codec = SizedCodec(sizes)
+    return cache
+
+
+def choose(cache):
+    return cache._trial_all(7, bytes(64))
 
 
 class TestChooseLog:
     def test_clear_winner(self):
-        logs = [make_log(0), make_log(1)]
-        choice = choose_log([candidate(logs[0], 500),
-                             candidate(logs[1], 50)])
-        assert choice.log is logs[1]
+        cache = sized_cache([500, 50])
+        assert choose(cache) is active(cache)[1]
 
     def test_tag_bits_do_not_drive_choice(self):
         """Tag-stream warm-up must not attract every line to one log."""
-        logs = [make_log(0), make_log(1)]
-        choice = choose_log([candidate(logs[0], 500, tag_bits=8),
-                             candidate(logs[1], 50, tag_bits=49)])
-        assert choice.log is logs[1]
+        cache = fresh_cache(n_active_logs=2)
+        warm, cold = active(cache)
+        for address in (5, 6):
+            cache._tag_compressor.append(warm.tag_stream, address)
+        tags = cache._tag_compressor
+        assert tags.measure(warm.tag_stream, 7) < tags.measure(
+            cold.tag_stream, 7)
+        warm.codec_state, cold.codec_state = 0, 1
+        cache._codec = SizedCodec([500, 50])
+        assert choose(cache) is cold
 
     def test_fudge_routes_ties_to_least_used(self):
-        emptier = make_log(0)
-        fuller = make_log(1, used_bits=2000)
-        choice = choose_log([candidate(fuller, 100),
-                             candidate(emptier, 100)])
-        assert choice.log is emptier
+        cache = sized_cache([100, 100], used=[2000, 0])
+        assert choose(cache) is active(cache)[1]
 
     def test_fudge_threshold(self):
-        emptier = make_log(0)
-        fuller = make_log(1, used_bits=2000)
         # 4% spread: within the default 5% fudge -> least-used wins
-        choice = choose_log([candidate(fuller, 96),
-                             candidate(emptier, 100)])
-        assert choice.log is emptier
+        cache = sized_cache([96, 100], used=[2000, 0])
+        assert choose(cache) is active(cache)[1]
         # 20% spread: outside the fudge -> best compression wins
-        choice = choose_log([candidate(fuller, 80),
-                             candidate(emptier, 100)])
-        assert choice.log is fuller
+        cache = sized_cache([80, 100], used=[2000, 0])
+        assert choose(cache) is active(cache)[0]
 
     def test_none_when_nothing_fits(self):
-        # A line that fits no active log has no candidates.
-        assert choose_log([]) is None
+        cache = sized_cache([100, 100], used=[4000, 4000])
+        assert choose(cache) is None
 
     def test_zero_fudge_always_picks_best(self):
-        emptier = make_log(0)
-        fuller = make_log(1, used_bits=2000)
-        choice = choose_log([candidate(fuller, 99),
-                             candidate(emptier, 100)], fudge_factor=0.0)
-        assert choice.log is fuller
+        cache = sized_cache([99, 100], used=[2000, 0], fudge_factor=0.0)
+        assert choose(cache) is active(cache)[0]
 
     def test_all_zero_bits(self):
-        logs = [make_log(0), make_log(1)]
-        choice = choose_log([candidate(logs[0], 0, tag_bits=0),
-                             candidate(logs[1], 0, tag_bits=0)])
-        assert choice is not None
-
-
-class TestPlacementCandidate:
-    def test_total_bits(self):
-        assert candidate(make_log(0), 100, tag_bits=11).total_bits == 111
+        cache = sized_cache([0, 0], used=[2000, 0])
+        assert choose(cache) is active(cache)[0]
 
 
 def random_line(seed):
@@ -87,49 +101,40 @@ def random_line(seed):
     return bytes(rng.randrange(1, 256) for _ in range(64))
 
 
-def fresh_cache(**overrides):
-    """8KB MORC with four active logs (16 logs in all)."""
-    return MorcCache(8 * 1024, MorcConfig(n_active_logs=4, **overrides))
-
-
 class TestTrialAll:
-    """Which active logs a fill is trialled against, and with what."""
-
-    def active(self, cache):
-        return [cache.logs[index] for index in cache._active]
+    """Which active logs a fill is trialled against, and what it picks."""
 
     def test_every_roomy_log_is_a_candidate(self):
-        cache = fresh_cache()
-        candidates = cache._trial_all(7, random_line(1))
-        assert [c.log for c in candidates] == self.active(cache)
+        cache = sized_cache([300, 305, 298, 302])
+        assert choose(cache) is active(cache)[0]   # all within 5%: roomiest
+        assert [state for state, _ in cache._codec.asked] == [0, 1, 2, 3]
         assert cache.stats.get("trial_compressions") == 4
 
     def test_closed_log_never_a_candidate(self):
-        cache = fresh_cache()
-        closed = self.active(cache)[1]
+        cache = sized_cache([300, 10, 100, 305])
+        closed = active(cache)[1]
         closed.closed = True
-        candidates = cache._trial_all(7, random_line(1))
-        assert closed not in [c.log for c in candidates]
-        assert len(candidates) == 3
+        assert choose(cache) is active(cache)[2]
+        assert 1 not in [state for state, _ in cache._codec.asked]
         # The trial still counts every active log.
         assert cache.stats.get("trial_compressions") == 4
 
     def test_non_fitting_log_left_out(self):
         cache = fresh_cache()
-        tiny = self.active(cache)[2]
+        tiny = active(cache)[2]
         tiny.append(0, bytes(64), tiny.data_capacity_bits - 20, 0)
         data = random_line(2)  # 16 u32 literals: far over 20 bits
-        candidates = cache._trial_all(7, data)
-        assert tiny not in [c.log for c in candidates]
-        roomy = choose_log(candidates)
-        assert roomy is not None and roomy.log is not tiny
+        choice = cache._trial_all(7, data)
+        assert choice is not None and choice is not tiny
 
     def test_full_tag_region_skips_the_tag_codec(self, monkeypatch):
         cache = fresh_cache()
-        full = self.active(cache)[0]
-        smallest = cache._tag_compressor.min_token_bits
+        full, tight, roomy, _ = active(cache)
+        tags = cache._tag_compressor
         full.append(0, bytes(64), 0,
-                    full.tag_capacity_bits - smallest + 1)
+                    full.tag_capacity_bits - tags.min_token_bits + 1)
+        tight.append(0, bytes(64), 0,
+                     tight.tag_capacity_bits - tags.max_token_bits + 1)
         measured = []
         real_measure = TagCompressor.measure
 
@@ -138,29 +143,33 @@ class TestTrialAll:
             return real_measure(self, stream, line_address)
 
         monkeypatch.setattr(TagCompressor, "measure", spy)
-        candidates = cache._trial_all(7, random_line(3))
-        assert id(full.tag_stream) not in measured
-        assert len(measured) == 3
-        assert full not in [c.log for c in candidates]
+        # A fresh stream takes a new base, the largest token, which the
+        # tight region has no room for.
+        assert cache._trial_all(7, random_line(3)) is roomy
+        # Only the tight region's room depends on the tag.
+        assert measured == [id(tight.tag_stream)]
 
     def test_nothing_fits_gives_no_candidates(self):
         cache = fresh_cache()
-        for log in self.active(cache):
+        for log in active(cache):
             log.append(0, bytes(64), log.data_capacity_bits - 10, 0)
-        assert cache._trial_all(7, random_line(4)) == []
+        assert cache._trial_all(7, random_line(4)) is None
         assert cache.stats.get("trial_compressions") == 4
 
     def test_candidates_keep_active_order_and_exact_sizes(self):
+        """Sizes are trialled in active order; once two differ by more
+        than the fudge factor, later trials only ask for a smaller one,
+        and the choice is the literal rule's over exact sizes."""
+        cache = sized_cache([100, 400, 150, 99, 99], fudge_factor=0.05)
+        logs = active(cache)
+        assert choose(cache) is logs[3]
+        room = logs[0].data_room(0)
+        assert cache._codec.asked == [(0, room), (1, room), (2, 99),
+                                      (3, 99), (4, 98)]
         cache = fresh_cache(merged_tags=True)
-        logs = self.active(cache)
+        logs = active(cache)
         logs[1].append(0, bytes(64), logs[1].data_capacity_bits - 60, 0)
         data = random_line(5)
-        exact = [min(cache._codec.compressor.measure(data, log.codec_state),
-                     512) for log in logs]
-        tags = [cache._tag_compressor.measure(log.tag_stream, 7)
-                for log in logs]
-        candidates = cache._trial_all(7, data)
-        assert [(c.log, c.data_bits, c.tag_bits) for c in candidates] == [
-            (log, bits, tag) for log, bits, tag in zip(logs, exact, tags)
-            if log.fits(bits, tag)]
-        assert logs[1] not in [c.log for c in candidates]
+        expected = literal_choice(cache, 7, data)
+        assert expected is not None and expected is not logs[1]
+        assert cache._trial_all(7, data) is expected

@@ -139,7 +139,7 @@ class TestMultiProgram:
                                                for m in result.per_thread)
 
 
-class TestExtraSchemes:
+class TestSeedOffsetAndMemoryChannel:
     def test_seed_offset_changes_runs(self):
         a = run_single_program("gcc", "MORC", n_instructions=SMALL,
                                seed_offset=0)

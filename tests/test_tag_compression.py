@@ -70,7 +70,7 @@ class TestAppend:
     def test_first_tag_is_new_base(self):
         compressor = TagCompressor(n_bases=2)
         stream = compressor.new_stream()
-        token = compressor.append(stream, 1000)
+        token = compressor.append_token(stream, 1000)
         assert token.kind == "new_base"
         assert token.size_bits == 2 + 5 + FULL_TAG_BITS
 
@@ -78,7 +78,7 @@ class TestAppend:
         compressor = TagCompressor(n_bases=2)
         stream = compressor.new_stream()
         compressor.append(stream, 1000)
-        token = compressor.append(stream, 1001)
+        token = compressor.append_token(stream, 1001)
         assert token.kind == "delta"
         assert token.sign == 0
         # valid + base-select + code + sign, 0 precision bits
@@ -88,7 +88,7 @@ class TestAppend:
         compressor = TagCompressor(n_bases=2)
         stream = compressor.new_stream()
         compressor.append(stream, 1000)
-        token = compressor.append(stream, 996)
+        token = compressor.append_token(stream, 996)
         assert token.kind == "delta"
         assert token.sign == 1
 
@@ -96,7 +96,7 @@ class TestAppend:
         compressor = TagCompressor(n_bases=1)
         stream = compressor.new_stream()
         compressor.append(stream, 0)
-        token = compressor.append(stream, MAX_DISTANCE + 1)
+        token = compressor.append_token(stream, MAX_DISTANCE + 1)
         assert token.kind == "new_base"
 
     def test_repeat_tag_forces_new_base(self):
@@ -104,7 +104,7 @@ class TestAppend:
         compressor = TagCompressor(n_bases=1)
         stream = compressor.new_stream()
         compressor.append(stream, 7)
-        token = compressor.append(stream, 7)
+        token = compressor.append_token(stream, 7)
         assert token.kind == "new_base"
 
     def test_two_bases_track_two_regions(self):
@@ -113,8 +113,8 @@ class TestAppend:
         stream = compressor.new_stream()
         compressor.append(stream, 1000)       # base 0
         compressor.append(stream, 1_000_000)  # replaces LRU -> base 1
-        token_a = compressor.append(stream, 1001)
-        token_b = compressor.append(stream, 1_000_001)
+        token_a = compressor.append_token(stream, 1001)
+        token_b = compressor.append_token(stream, 1_000_001)
         assert token_a.kind == "delta"
         assert token_b.kind == "delta"
 
@@ -123,14 +123,14 @@ class TestAppend:
         stream = compressor.new_stream()
         compressor.append(stream, 1000)
         compressor.append(stream, 1_000_000)
-        token = compressor.append(stream, 1001)
+        token = compressor.append_token(stream, 1001)
         assert token.kind == "new_base"
 
     def test_single_base_has_no_select_bit(self):
         compressor = TagCompressor(n_bases=1)
         stream = compressor.new_stream()
         compressor.append(stream, 0)
-        token = compressor.append(stream, 1)
+        token = compressor.append_token(stream, 1)
         assert token.size_bits == 1 + 5 + 1  # valid + code + sign
 
     def test_measure_matches_append(self):
@@ -139,15 +139,15 @@ class TestAppend:
         compressor.append(stream, 500)
         for tag in (501, 503, 400, 5_000_000, 500):
             measured = compressor.measure(stream, tag)
-            token = compressor.append(stream, tag)
+            token = compressor.append_token(stream, tag)
             assert measured == token.size_bits
 
     def test_stream_totals(self):
         compressor = TagCompressor()
         stream = compressor.new_stream()
-        tokens = [compressor.append(stream, t) for t in (10, 11, 12)]
+        sizes = [compressor.append(stream, t) for t in (10, 11, 12)]
         assert stream.n_tags == 3
-        assert stream.total_bits == sum(t.size_bits for t in tokens)
+        assert stream.total_bits == sum(sizes)
 
     def test_negative_address_rejected(self):
         compressor = TagCompressor()
@@ -160,7 +160,7 @@ class TestDecode:
         compressor = TagCompressor(n_bases=2)
         stream = compressor.new_stream()
         tags = [100, 101, 105, 90, 2_000_000, 2_000_004, 102, 2_000_001]
-        tokens = [compressor.append(stream, t) for t in tags]
+        tokens = [compressor.append_token(stream, t) for t in tags]
         assert compressor.decode(tokens) == tags
 
 
@@ -171,7 +171,7 @@ class TestDecode:
 def test_tag_stream_roundtrip_property(tags, n_bases):
     compressor = TagCompressor(n_bases=n_bases)
     stream = compressor.new_stream()
-    tokens = [compressor.append(stream, t) for t in tags]
+    tokens = [compressor.append_token(stream, t) for t in tags]
     assert compressor.decode(tokens) == tags
 
 
