@@ -208,7 +208,7 @@ def _command_experiment(name: str, args: argparse.Namespace) -> int:
     from repro.experiments import parallel
     errors = parallel.last_errors()
     if errors:
-        # Under --on-error skip/retry the grid completed around the
+        # Under --on-error skip the grid completed around the
         # failed cells, but the table math can't aggregate CellError
         # slots — report the failures instead of a traceback.
         print(f"{len(errors)} cell(s) failed; partial results "

@@ -6,8 +6,8 @@ callers can catch library failures without catching unrelated bugs.
 :class:`CellError` is not an exception: it is the structured *record* of
 a failed experiment-engine cell (see
 :mod:`repro.experiments.parallel`), returned in the cell's result slot
-when the engine runs with ``on_error="skip"``/``"retry"`` so one
-failing cell cannot throw away the rest of a grid.
+when the engine runs with ``on_error="skip"`` so one failing cell
+cannot throw away the rest of a grid.
 """
 
 from dataclasses import dataclass
@@ -76,24 +76,23 @@ class CellError:
 
     Occupies the failed cell's slot in the grid's result list, so
     callers can tell exactly which (benchmark, scheme) cells failed
-    while every other cell's result is intact.  ``kind`` is ``"error"``
-    for a captured worker exception and ``"timeout"`` when the cell
-    exceeded ``REPRO_CELL_TIMEOUT``.
+    while every other cell's result is intact.  ``exception`` is the
+    ``repr`` of the worker's exception (``BrokenProcessPool`` when the
+    worker died before returning the cell) and ``traceback`` its
+    formatted traceback.
     """
 
     label: str
     exception: str
     traceback: str
-    attempts: int
-    kind: str = "error"
 
     def summary(self) -> str:
-        return (f"{self.label}: {self.kind} after {self.attempts} "
-                f"attempt(s): {self.exception}")
+        return f"{self.label}: {self.exception}"
 
 
 class CellFailedError(ReproError):
-    """A grid cell failed and the engine ran with ``on_error="raise"``.
+    """A grid cell failed (its worker raised or died) under
+    ``on_error="raise"``, so the engine aborted the grid.
 
     Carries the :class:`CellError` record (including the worker-side
     traceback) as ``.cell``.

@@ -7,33 +7,3 @@ lists, scaled instruction budgets, baseline caching) and
 ``repro.experiments.parallel`` fans independent simulation cells across
 worker processes (``REPRO_JOBS`` controls the pool size).
 """
-
-from repro.experiments.parallel import (
-    MultiProgramSpec,
-    RunSpec,
-    last_timings,
-    parallel_map,
-    run_cells,
-    run_multi_cells,
-    worker_count,
-)
-from repro.experiments.runner import (
-    DEFAULT_BENCHMARKS,
-    FULL_BENCHMARKS,
-    geomean,
-    scale_instructions,
-)
-
-__all__ = [
-    "DEFAULT_BENCHMARKS",
-    "FULL_BENCHMARKS",
-    "MultiProgramSpec",
-    "RunSpec",
-    "geomean",
-    "last_timings",
-    "parallel_map",
-    "run_cells",
-    "run_multi_cells",
-    "scale_instructions",
-    "worker_count",
-]

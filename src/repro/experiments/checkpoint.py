@@ -9,13 +9,14 @@ file::
     (key, {"status": "ok"|"error", "label": ..., "result": ...,
            "timing": CellTiming})
 
-``key`` is a stable hash of the cell's position, label and spec repr
+``key`` is a stable hash of the cell's worker and spec repr
 (:func:`spec_key`), so a resume run matches journal entries to grid
-cells even across processes, and a checkpoint written for one grid is
-never silently replayed into a different one.  Appends are flushed and
-fsynced per frame; a run killed mid-append leaves at most one torn
-trailing frame, which :meth:`GridCheckpoint.load` drops (like the
-JSONL trace reader tolerates a torn final line).
+cells even across processes and grid orders, and a checkpoint written
+for one grid function is never silently replayed into another.
+Appends are flushed and fsynced per frame; a run killed mid-append
+leaves at most one torn trailing frame, which
+:meth:`GridCheckpoint.load` drops (like the JSONL trace reader
+tolerates a torn final line).
 
 Pickle rather than JSONL because cell results are arbitrary result
 dataclasses (:class:`~repro.sim.system.SingleRunResult` and friends);
@@ -33,19 +34,20 @@ from typing import Any, BinaryIO, Dict, Optional
 #: bumped whenever the journal frame layout or what a key hashes
 #: changes, so an old checkpoint can never be misread as a new one (it
 #: hashes into keys): an older journal's cells are re-run
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
-def spec_key(index: int, label: str, item: Any, worker: str = "") -> str:
-    """Stable identity of one grid cell.
+def spec_key(item: Any, worker: str = "") -> str:
+    """Stable identity of one grid cell: its content, not its position.
 
-    Hashes the cell's grid position, timing label, the spec's repr
-    (specs are frozen dataclasses of primitives, so their reprs are
-    deterministic across processes and runs) and the worker function's
-    identity, so a checkpoint for one grid function is never replayed
-    into another that happens to share items.
+    Hashes the spec's repr (specs are frozen dataclasses of primitives,
+    so their reprs are deterministic across processes and runs) and the
+    worker function's identity, so a checkpoint for one grid function is
+    never replayed into another that happens to share items.  Cells are
+    deterministic, so identical specs may share one journal entry, and
+    a grid resumed in another order still replays every finished cell.
     """
-    blob = f"{SCHEMA_VERSION}|{worker}|{index}|{label}|{item!r}"
+    blob = f"{SCHEMA_VERSION}|{worker}|{item!r}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 

@@ -37,10 +37,10 @@ ALL_CATEGORIES: Tuple[str, ...] = ("llc", "compression", "mem", "run",
                                    "engine", "resilience")
 
 #: what the engine does with a cell whose worker raised
-ON_ERROR_MODES = ("raise", "skip", "retry")
+ON_ERROR_MODES = ("raise", "skip")
 
 #: fault-injection modes understood by ``REPRO_FAULT_INJECT``
-FAULT_MODES = ("crash", "flaky", "hang", "kill")
+FAULT_MODES = ("crash", "kill")
 
 _FALSY = ("", "0", "false", "no", "off")
 
@@ -57,7 +57,6 @@ class FaultDirective:
     mode: str
     selector: str
     value: int
-    arg: float = 0.0
 
     def matches(self, index: int) -> bool:
         if self.selector == "index":
@@ -90,22 +89,17 @@ def _choice(options: Tuple[str, ...], blank: str = "") -> Callable:
     return parse
 
 
-def _number(cast: Callable[[str], Any], minimum: Optional[float] = None,
-            exclusive: bool = False, blank: Any = None) -> Callable:
-    """Parser for a number ``>= minimum`` (``> minimum`` if exclusive);
-    ``blank`` (when not None) is what an empty value means."""
+def _number(cast: Callable[[str], Any], minimum: float,
+            exclusive: bool = False) -> Callable:
+    """Parser for a number ``>= minimum`` (``> minimum`` if exclusive)."""
     kind = "an integer" if cast is int else "numeric"
 
     def parse(name: str, raw: Any) -> Any:
-        text = str(raw).strip()
-        if blank is not None and not text:
-            return blank
         try:
-            value = cast(text)
+            value = cast(str(raw).strip())
         except ValueError:
             raise ConfigError(f"{name} must be {kind}, got {raw!r}")
-        if minimum is not None and (value <= minimum if exclusive
-                                    else value < minimum):
+        if value <= minimum if exclusive else value < minimum:
             raise ConfigError(f"{name} must be "
                               f"{'>' if exclusive else '>='} {minimum:g}, "
                               f"got {raw!r}")
@@ -126,30 +120,28 @@ def _categories(name: str, raw: Any) -> FrozenSet[str]:
 
 
 def _faults(name: str, raw: Any) -> Tuple[FaultDirective, ...]:
-    """Comma-separated ``mode@index[:arg]`` or ``mode@N%`` directives."""
+    """Comma-separated ``mode@index`` or ``mode@N%`` directives."""
     directives: List[FaultDirective] = []
     for token in str(raw).split(","):
         token = token.strip()
         if not token:
             continue
-        mode, at, rest = token.partition("@")
-        selector, _, argtext = rest.partition(":")
+        mode, at, selector = token.partition("@")
         try:
             if mode not in FAULT_MODES or not at or not selector:
                 raise ValueError
-            arg = float(argtext) if argtext else 0.0
             if selector.endswith("%"):
                 percent = int(selector[:-1])
                 if not 0 < percent <= 100:
                     raise ValueError
                 directives.append(FaultDirective(
-                    mode, "stride", max(1, round(100 / percent)), arg))
+                    mode, "stride", max(1, round(100 / percent))))
             else:
                 directives.append(FaultDirective(
-                    mode, "index", int(selector), arg))
+                    mode, "index", int(selector)))
         except ValueError:
             raise ConfigError(
-                f"{name} directive {token!r} is not mode@index[:arg] or "
+                f"{name} directive {token!r} is not mode@index or "
                 f"mode@N% with mode in {list(FAULT_MODES)}")
     return tuple(directives)
 
@@ -180,22 +172,11 @@ class Settings:
                          1.0, "scale factor for default instruction counts")
     on_error: str = _knob("REPRO_ON_ERROR",
                           _choice(ON_ERROR_MODES, blank="raise"), "raise",
-                          "failed-cell policy: raise, skip or retry "
+                          "failed-cell policy: raise or skip "
                           "(default raise)")
-    retries: int = _knob("REPRO_RETRIES", _number(int, 0, blank=2), 2,
-                         "retry attempts per cell under on_error=retry "
-                         "(default 2)")
-    retry_backoff: float = _knob(
-        "REPRO_RETRY_BACKOFF", _number(float, 0, blank=0.05), 0.05,
-        "base retry backoff seconds, doubled per attempt + jitter "
-        "(default 0.05)")
-    cell_timeout: float = _knob(
-        "REPRO_CELL_TIMEOUT", _number(float, 0, blank=0.0), 0.0,
-        "per-cell wall-clock timeout seconds, pool mode (default 0 = off)")
     fault_inject: Tuple[FaultDirective, ...] = _knob(
         "REPRO_FAULT_INJECT", _faults, (),
-        "deterministic fault injection, e.g. "
-        "crash@10%,flaky@1,hang@0:1.5,kill@3")
+        "deterministic fault injection, e.g. crash@10%,kill@3")
     verify: bool = _knob("REPRO_VERIFY", _flag, False,
                          "round-trip + invariant self-verification "
                          "(default 0)")

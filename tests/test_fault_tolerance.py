@@ -1,11 +1,11 @@
-"""Fault-tolerant engine: error capture, retry, timeout, resume.
+"""Fault-tolerant engine: error capture, dead workers, resume.
 
 Exercises every fault path of :mod:`repro.experiments.parallel` with the
 deterministic ``REPRO_FAULT_INJECT`` hook: an injected crash becomes a
-structured :class:`CellError` with the rest of the grid intact, a
-flaky-once cell succeeds on retry with its backoff recorded in the
-``engine`` trace, a hang trips the per-cell timeout, a killed worker
-escalates to a serial re-run, and a killed sweep resumes from its
+structured :class:`CellError` with the rest of the grid intact, a killed
+worker fails the cells its pool had not finished and ``resume``
+finishes them, an injected kill in a serial grid raises instead of
+ending the process, and a killed or interrupted sweep resumes from its
 checkpoint with results bit-identical to an uninterrupted run.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 import types
 
 import pytest
@@ -22,11 +21,7 @@ from repro import settings
 from repro.common.errors import CellError, CellFailedError, ConfigError
 from repro.experiments import checkpoint, figure6, parallel
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
-from repro.experiments.parallel import (
-    EngineOptions,
-    parallel_map,
-    retry_delay,
-)
+from repro.experiments.parallel import EngineOptions, parallel_map
 from repro.obs.reader import read_all, read_events
 from repro.obs.summary import render, summarize
 
@@ -53,10 +48,9 @@ def _logged_double(item):
 
 @pytest.fixture
 def quiet_env():
-    """Fault knobs at their defaults; fast backoff so retry tests stay
-    quick; the environment's settings come back on teardown."""
-    settings.configure(fault_inject="", cell_timeout=0, retries=2,
-                       on_error="raise", retry_backoff=0.01)
+    """Fault knobs at their defaults; the environment's settings come
+    back on teardown."""
+    settings.configure(fault_inject="", on_error="raise")
     yield
     settings.reset()
 
@@ -81,8 +75,6 @@ def test_injected_crash_becomes_cell_error_grid_intact(quiet_env):
     assert cell.label == "cell[2]"
     assert "injected crash" in cell.exception
     assert "FaultInjected" in cell.traceback
-    assert cell.attempts == 1
-    assert cell.kind == "error"
 
 
 def test_default_raise_mode_wraps_worker_exception(quiet_env):
@@ -108,71 +100,70 @@ def test_failed_grid_does_not_leave_stale_engine_state(quiet_env):
     assert profiles and all(p.utilization > 0.0 for p in profiles)
 
 
-# -- retry with backoff -------------------------------------------------
+# -- dead workers --------------------------------------------------------
 
-def test_flaky_once_succeeds_on_retry_with_backoff_recorded(
-        quiet_env, trace_path):
-    settings.configure(fault_inject="flaky@1")
-    out = parallel_map(_double, [1, 2, 3], jobs=2,
-                       engine=EngineOptions(on_error="retry"))
-    assert out == [2, 4, 6]
-    retry_events = [event for event in read_events(trace_path)
-                    if event.get("ev") == "cell_retry"]
-    assert len(retry_events) == 1
-    assert retry_events[0]["label"] == "cell[1]"
-    assert retry_events[0]["attempt"] == 1
-    assert retry_events[0]["delay_s"] > 0.0
-    assert "flaky" in retry_events[0]["error"]
-
-
-def test_retries_exhausted_reports_attempt_count(quiet_env):
-    settings.configure(fault_inject="crash@0")
-    settings.configure(retries=2)
-    out = parallel_map(_double, [1, 2], jobs=2,
-                       engine=EngineOptions(on_error="retry"))
-    cell = out[0]
-    assert isinstance(cell, CellError)
-    assert cell.attempts == 3  # initial attempt + 2 retries
-    assert out[1] == 4
-
-
-def test_retry_delay_is_deterministic_exponential():
-    first = retry_delay("gcc/MORC", 1, 0.05)
-    assert first == retry_delay("gcc/MORC", 1, 0.05)
-    assert 0.05 <= first <= 0.10  # base + jitter in [0, base)
-    assert retry_delay("gcc/MORC", 3, 0.05) >= 0.20  # doubled twice
-    assert retry_delay("gcc/MORC", 1, 0.05) != retry_delay(
-        "hmmer/MORC", 1, 0.05)
-
-
-# -- timeout ------------------------------------------------------------
-
-def test_hang_trips_cell_timeout(quiet_env):
-    settings.configure(fault_inject="hang@0:30")
-    settings.configure(cell_timeout=0.5)
-    started = time.perf_counter()
-    out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
-                       engine=EngineOptions(on_error="skip"))
-    elapsed = time.perf_counter() - started
-    assert elapsed < 15.0  # nowhere near the 30s hang
-    cell = out[0]
-    assert isinstance(cell, CellError)
-    assert cell.kind == "timeout"
-    assert "0.5" in cell.exception
-    assert out[1:] == [4, 6, 8]
-
-
-# -- broken pool escalation ---------------------------------------------
-
-def test_killed_worker_escalates_to_serial_rerun(quiet_env):
+def test_killed_worker_fails_its_cells_and_resume_finishes_them(
+        quiet_env, tmp_path):
+    ckpt = str(tmp_path / "grid.ckpt")
+    items = list(range(6))
+    clean = [_double(item) for item in items]
     settings.configure(fault_inject="kill@1")
-    out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
-                       engine=EngineOptions(on_error="skip"))
-    # the poisoned cell fails (raised, not killed, in the serial
-    # re-run); every other cell still produces its result
+    out = parallel_map(_double, items, jobs=2,
+                       engine=EngineOptions(on_error="skip",
+                                            checkpoint=ckpt))
+    # the killed worker never returns cell 1; which other in-flight
+    # cells it takes down with the pool depends on timing
     assert isinstance(out[1], CellError)
-    assert "kill" in out[1].exception
-    assert [out[0], out[2], out[3]] == [2, 6, 8]
+    assert "BrokenProcessPool" in out[1].exception
+    assert all(slot == want for slot, want in zip(out, clean)
+               if not isinstance(slot, CellError))
+    settings.configure(fault_inject="")
+    resumed = parallel_map(_double, items, jobs=2,
+                           engine=EngineOptions(on_error="skip",
+                                                checkpoint=ckpt,
+                                                resume=True))
+    assert resumed == clean
+    stats = parallel.last_resume()
+    assert stats["loaded"] + stats["executed"] == len(items)
+    assert stats["executed"] >= 1
+
+
+def test_pool_broken_while_cells_are_still_being_submitted(quiet_env):
+    # cell 0 kills its worker while most of a large grid is still being
+    # submitted, so later submissions meet the broken pool too
+    settings.configure(fault_inject="kill@0")
+    items = list(range(5000))
+    out = parallel_map(abs, items, jobs=2,
+                       engine=EngineOptions(on_error="skip"))
+    assert len(out) == len(items)
+    assert isinstance(out[0], CellError)
+    assert all(isinstance(slot, CellError) or slot == item
+               for slot, item in zip(out, items))
+
+
+def test_kill_in_a_serial_grid_raises_instead_of_exiting(quiet_env):
+    settings.configure(fault_inject="kill@1")
+    out = parallel_map(_double, [1, 2, 3], jobs=1,
+                       engine=EngineOptions(on_error="skip"))
+    assert isinstance(out[1], CellError)
+    assert "injected kill" in out[1].exception
+    assert [out[0], out[2]] == [2, 6]
+    with pytest.raises(CellFailedError):
+        parallel_map(_double, [1, 2, 3], jobs=1)
+
+
+@pytest.mark.parametrize("directive", ["flaky@1", "hang@0:1"])
+def test_removed_fault_modes_are_config_errors(quiet_env, directive):
+    with pytest.raises(ConfigError):
+        settings.configure(fault_inject=directive)
+
+
+def test_retry_policy_is_a_config_error(quiet_env):
+    with pytest.raises(ConfigError):
+        settings.configure(on_error="retry")
+    with pytest.raises(ConfigError):
+        parallel_map(_double, [1, 2], jobs=1,
+                     engine=EngineOptions(on_error="retry"))
 
 
 # -- checkpoint / resume ------------------------------------------------
@@ -247,12 +238,32 @@ def test_checkpoint_tolerates_torn_tail(tmp_path):
     assert records["key-a"]["result"] == 1
 
 
-def test_spec_key_is_stable_and_position_sensitive():
+def test_spec_key_is_stable_and_position_insensitive():
     spec = parallel.RunSpec("gcc", "MORC", n_instructions=5000)
-    assert spec_key(0, "gcc/MORC", spec) == spec_key(0, "gcc/MORC", spec)
-    assert spec_key(0, "gcc/MORC", spec) != spec_key(1, "gcc/MORC", spec)
+    same = parallel.RunSpec("gcc", "MORC", n_instructions=5000)
+    assert spec_key(spec, "w") == spec_key(same, "w")
+    assert spec_key(spec, "w") != spec_key(spec, "v")
     other = parallel.RunSpec("gcc", "MORC", n_instructions=6000)
-    assert spec_key(0, "gcc/MORC", spec) != spec_key(0, "gcc/MORC", other)
+    assert spec_key(spec, "w") != spec_key(other, "w")
+
+
+def test_grid_resumed_in_reverse_order_replays_every_cell(quiet_env,
+                                                          tmp_path):
+    ckpt = str(tmp_path / "grid.ckpt")
+    log = str(tmp_path / "invocations.log")
+    items = [(log, value) for value in range(4)]
+    parallel_map(_logged_double, items, jobs=2,
+                 engine=EngineOptions(checkpoint=ckpt))
+    resumed = parallel_map(_logged_double, items[::-1], jobs=2,
+                           engine=EngineOptions(checkpoint=ckpt,
+                                                resume=True))
+    assert resumed == [6, 4, 2, 0]
+    assert parallel.last_resume() == {"checkpoint": ckpt, "loaded": 4,
+                                      "executed": 0}
+    assert [t.label for t in parallel.last_timings()] == [
+        "cell[0]", "cell[1]", "cell[2]", "cell[3]"]
+    with open(log) as handle:
+        assert sorted(int(line) for line in handle) == [0, 1, 2, 3]
 
 
 def test_figure_grid_resume_bit_identical_to_fault_free_run(
@@ -318,9 +329,9 @@ def test_resume_reruns_a_journal_of_the_previous_schema(
 
 def test_engine_env_knob_validation(quiet_env):
     with pytest.raises(ConfigError):
-        settings.configure(retries=-1)
+        settings.configure(on_error="ignore")
     with pytest.raises(ConfigError):
-        settings.configure(cell_timeout="soon")
+        settings.configure(fault_inject="crash@soon")
     with pytest.raises(ConfigError):
         parallel_map(_double, [1, 2], jobs=1,
                      engine=EngineOptions(on_error="ignore"))

@@ -39,9 +39,6 @@ CASES = {
     "jobs": "many",
     "scale": "0",
     "on_error": "ignore",
-    "retries": "-1",
-    "retry_backoff": "soon",
-    "cell_timeout": "-1",
     "fault_inject": "explode@1",
     "verify": "maybe",
 }
@@ -61,7 +58,7 @@ def _env(name):
 # -- the knob table ---------------------------------------------------------
 
 def test_every_knob_is_named_after_its_field():
-    assert len(KNOBS) == 12
+    assert len(KNOBS) == 9
     for knob in KNOBS:
         assert knob.metadata["env"] == _env(knob.name)
         assert knob.metadata["help"]
@@ -126,7 +123,7 @@ def test_typed_overrides_are_validated():
         settings.configure(obs_sample=0)
     assert settings.configure(obs_categories=["llc"]).obs_categories == {
         "llc"}
-    assert settings.configure(retries=5).retries == 5
+    assert settings.configure(jobs=5).jobs == 5
 
 
 def test_unknown_override_rejected():
@@ -179,16 +176,15 @@ def test_fault_inject_from_env():
     def parse(raw):
         return settings.from_env({"REPRO_FAULT_INJECT": raw}).fault_inject
 
-    directives = parse("crash@2,flaky@1,hang@0:1.5,crash@10%")
-    assert [d.mode for d in directives] == ["crash", "flaky", "hang",
-                                            "crash"]
-    assert directives[2].arg == 1.5
-    stride = directives[3]
+    directives = parse("crash@2,kill@1,crash@10%")
+    assert [d.mode for d in directives] == ["crash", "kill", "crash"]
+    assert directives[1].selector == "index" and directives[1].value == 1
+    stride = directives[2]
     assert stride.selector == "stride" and stride.value == 10
     assert stride.matches(0) and stride.matches(10)
     assert not stride.matches(5)
     assert parse("") == ()
-    for bad in ("explode@1", "crash", "crash@x", "crash@0%"):
+    for bad in ("explode@1", "crash", "crash@x", "crash@0%", "crash@1:2"):
         with pytest.raises(ConfigError):
             parse(bad)
 
