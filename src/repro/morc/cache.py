@@ -342,11 +342,12 @@ class MorcCache(LLCInterface):
     # -- log lifecycle ------------------------------------------------------------
 
     def _retire_and_refresh(self, result: FillResult) -> Log:
-        """Close the fullest active log and replace it with a fresh one."""
+        """Close the fullest active log and replace it with a fresh one;
+        the closed log drops its codec state and tag stream."""
         slot = min(range(len(self._active)),
                    key=lambda i: self.logs[self._active[i]].free_data_bits)
         retiring = self.logs[self._active[slot]]
-        retiring.closed = True
+        retiring.close()
         self._closed_fifo.append(retiring.index)
         if retiring.all_invalid:
             self._dead_closed += 1

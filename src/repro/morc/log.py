@@ -6,12 +6,15 @@ log also holds its compressed tag stream — either in a separate fixed tag
 region (default, sized by the 2x tag-store factor) or sharing the data
 region and growing from the right (MORCMerged, §3.2.6).
 
-Because decompression must replay a log from its start, each log carries
-its own data codec state (:mod:`repro.morc.codecs`) and tag-compression
-stream.  The cache supplies fresh ones when the log first goes active
-and each time it reclaims it; a log never taken from the free pool has
-none.  An entry keeps its line's size, not its encoding: the model needs
-only sizes and the codec state later lines are coded against.
+Because decompression must replay a log from its start, an active log
+carries its own data codec state (:mod:`repro.morc.codecs`) and
+tag-compression stream, which later lines are coded against.  The cache
+supplies fresh ones when the log goes active (:meth:`Log.reset`, or as
+it leaves the free pool) and :meth:`Log.close` drops them: a closed log
+is read-only and a decompressor replays it from its own stream, so only
+the active logs hold codec state (§3.2.1, §3.2.5).  An entry keeps its
+line's size, not its encoding: reads, flushes and the LMT need only
+sizes and data.
 """
 
 from __future__ import annotations
@@ -57,11 +60,13 @@ class Log:
     valid_count: int = 0
     closed: bool = False
     generation: int = 0
-    #: the data codec's per-log state (LBE dictionary, LZ history, None);
-    #: None too until the log first goes active
+    #: the data codec's per-log state (LBE dictionary, LZ history, None)
+    #: while the log is active; None before it first goes active and
+    #: once it closes
     codec_state: object = None
-    #: the tag codec's per-log stream (None for uncompressed tags, and
-    #: until the log first goes active)
+    #: the tag codec's per-log stream while the log is active (None for
+    #: uncompressed tags, before the log first goes active and once it
+    #: closes)
     tag_stream: Optional[TagStream] = None
 
     @property
@@ -137,6 +142,14 @@ class Log:
         """True when every contained line is dead (log reusable sans flush)."""
         return self.valid_count == 0 and bool(self.entries)
 
+    def close(self) -> None:
+        """Retire the log: it takes no more appends, and drops the codec
+        state and tag stream that only appends use (the mirror of
+        :meth:`reset`)."""
+        self.closed = True
+        self.codec_state = None
+        self.tag_stream = None
+
     def reset(self, codec_state: object,
               tag_stream: Optional[TagStream]) -> None:
         """Reclaim the log for reuse as a fresh active log, starting the
@@ -189,6 +202,11 @@ class Log:
             violations.append(
                 f"log {self.index}: {tag_bits} tag bits exceed the "
                 f"{self.tag_capacity_bits}-bit tag region")
+        if self.closed and (self.codec_state is not None
+                            or self.tag_stream is not None):
+            violations.append(
+                f"log {self.index}: closed but still holds codec state "
+                f"or a tag stream")
         for position, entry in enumerate(self.entries):
             if entry.position != position:
                 violations.append(

@@ -15,8 +15,9 @@ Enabled by ``REPRO_VERIFY=1``.  Two mechanisms:
   that only model sizes (SC2) are skipped.
 - **Invariant audits** — :func:`audit` walks a cache's structures and
   collects every broken invariant: bits accounting, occupancy vs
-  capacity, LMT↔log cross-references and the count of reusable closed
-  logs for MORC, segment/tag budgets for the set-associative baselines.
+  capacity, LMT↔log cross-references, the count of reusable closed
+  logs and which logs hold codec state for MORC, segment/tag budgets
+  for the set-associative baselines.
   The system simulator runs it at every ratio-sample point.
 
 Failures raise :class:`repro.common.errors.VerificationError` and emit
@@ -183,6 +184,24 @@ def _audit_morc(llc) -> List[str]:
                     f"log {log.index}: valid entry for line "
                     f"0x{entry.line_address:x} tracked by an invalid "
                     f"LMT entry")
+    # Codec state: each active log holds what its codecs hand out (a
+    # codec whose fresh state is None needs none); a closed log (checked
+    # by Log.audit) or a never-used one holds neither.
+    needs_state = llc._codec.new_state() is not None
+    needs_stream = llc._tag_compressor.new_stream() is not None
+    for index in llc._active:
+        log = llc.logs[index]
+        if ((needs_state and log.codec_state is None)
+                or (needs_stream and log.tag_stream is None)):
+            violations.append(
+                f"log {index}: active but lacks its codec state or tag "
+                f"stream")
+    for index in llc._free_pool:
+        log = llc.logs[index]
+        if log.codec_state is not None or log.tag_stream is not None:
+            violations.append(
+                f"log {index}: never used but holds codec state or a tag "
+                f"stream")
     dead_closed = sum(1 for index in llc._closed_fifo
                       if llc.logs[index].all_invalid)
     if dead_closed != llc._dead_closed:

@@ -235,7 +235,7 @@ def test_filled_cache_keeps_no_symbol_streams():
     assert _live(streams) <= before
 
 
-def test_codec_state_only_for_logs_that_went_active():
+def test_only_active_logs_hold_codec_state():
     config = SystemConfig()
     llc = MorcCache(128 * 1024, config=config.morc)
     for index in llc._free_pool:
@@ -246,10 +246,15 @@ def test_codec_state_only_for_logs_that_went_active():
         core.step(record)
     never_used = set(llc._free_pool)
     assert never_used and len(never_used) < len(llc.logs)
+    assert llc.stats.get("log_closures") > 0
     for log in llc.logs:
-        if log.index in never_used:
-            assert log.codec_state is None and log.tag_stream is None
-            assert log.generation == 0 and not log.entries
-        else:
+        if log.index in llc._active:
             assert isinstance(log.codec_state, LbeDictionary)
             assert log.tag_stream is not None
+            continue
+        # Never used, or closed: a closed log dropped its state.
+        assert log.codec_state is None and log.tag_stream is None
+        if log.index in never_used:
+            assert log.generation == 0 and not log.entries
+        else:
+            assert log.closed and log.entries

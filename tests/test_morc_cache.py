@@ -9,6 +9,7 @@ from repro.common.errors import CacheError
 from repro.compression.lbe import LbeCompressor, LbeDictionary
 from repro.morc.cache import MorcCache
 from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
+from tests.test_morc_lifecycle import at_each_close
 
 
 def small_cache(**overrides):
@@ -138,18 +139,27 @@ class TestLogLifecycle:
         assert not cache.contains(0)
 
     def test_recycled_logs_get_fresh_codec_state_and_tag_bases(self):
-        cache = small_cache(n_active_logs=1, tag_bases=1)
-        for i in range(400):
-            cache.fill(i * 64, random_line(i % 50))
-        recycled = [log for log in cache.logs if log.generation > 0]
-        assert recycled
-        for log in recycled:
+        checked = []
+
+        def check_recycled(log):
+            if log.generation == 0:
+                return
             assert log.tag_stream.n_bases == 1
             # The dictionary holds only what this generation appended.
             replay = LbeDictionary()
             for entry in log.entries:
                 LbeCompressor().compress(entry.data, replay)
             assert log.codec_state._values == replay._values
+            checked.append(log.index)
+
+        cache = small_cache(n_active_logs=1, tag_bases=1)
+        # Each recycled log is checked as it closes, while it still
+        # holds its state, and the one still active at the end.
+        with at_each_close(check_recycled):
+            for i in range(400):
+                cache.fill(i * 64, random_line(i % 50))
+        check_recycled(cache.logs[cache._active[0]])
+        assert len(checked) > 1
 
     def test_reuse_takes_the_oldest_all_dead_closed_log(self):
         """Priority 1 reuses the all-dead closed log that closed first,
@@ -289,25 +299,40 @@ class TestDataIntegrity:
         against a fresh dictionary, cost the bits the cache charged and
         leave the log's dictionary; the streams replay to the entries'
         data — the cache's bit-accounting corresponds to real symbols."""
-        cache = small_cache()
-        rng = random.Random(7)
-        pool = [bytes(rng.randrange(256) for _ in range(16))
-                for _ in range(4)]
-        for i in range(120):
-            data = b"".join(rng.choice(pool) for _ in range(4))
-            cache.fill(i * 64, data)
         lbe = LbeCompressor()
-        checked = 0
-        for log in cache.logs:
-            if not log.entries:
-                continue
-            replay = LbeDictionary()
-            stream = [lbe.compress(entry.data, replay)
+
+        def replay(log):
+            dictionary = LbeDictionary()
+            stream = [lbe.compress(entry.data, dictionary)
                       for entry in log.entries]
             assert [min(compressed.size_bits, UNCOMPRESSED_LINE_BITS)
                     for compressed in stream] == [
                 entry.data_bits for entry in log.entries]
-            assert replay._values == log.codec_state._values
+            return dictionary, stream
+
+        def check_dictionary(log):
+            dictionary, _ = replay(log)
+            assert dictionary._values == log.codec_state._values
+
+        cache = small_cache()
+        rng = random.Random(7)
+        pool = [bytes(rng.randrange(256) for _ in range(16))
+                for _ in range(4)]
+        # A log's dictionary is compared as it closes, while it still
+        # holds one; the active logs' at the end.
+        with at_each_close(check_dictionary):
+            for i in range(120):
+                data = b"".join(rng.choice(pool) for _ in range(4))
+                cache.fill(i * 64, data)
+        checked = 0
+        for log in cache.logs:
+            if not log.entries:
+                continue
+            dictionary, stream = replay(log)
+            if log.closed:
+                assert log.codec_state is None
+            else:
+                assert dictionary._values == log.codec_state._values
             decoded = lbe.decompress(stream)
             assert len(decoded) == len(log.entries)
             for entry, data in zip(log.entries, decoded):

@@ -11,7 +11,10 @@ structural invariants that the architecture's correctness rests on:
   recent fill/write-back for that address.
 - Log streams replay: each log's entries, re-encoded in append order
   against a fresh dictionary, cost the bits the cache charged and their
-  LBE stream decompresses to the entries' stored data.
+  LBE stream decompresses to the entries' stored data.  The replay ends
+  at the log's own dictionary, compared as the log closes (a closed log
+  keeps none) and at the end for the active logs.
+- The ``REPRO_VERIFY`` audit finds nothing.
 """
 
 import random
@@ -22,6 +25,8 @@ from repro.common.config import MorcConfig
 from repro.compression.lbe import LbeCompressor, LbeDictionary
 from repro.morc.cache import MorcCache
 from repro.morc.codecs import UNCOMPRESSED_LINE_BITS
+from repro.resilience import verify as res_verify
+from tests.test_morc_lifecycle import at_each_close
 
 
 def _make_line(rng, pool):
@@ -30,27 +35,46 @@ def _make_line(rng, pool):
     return rng.choice(pool) + rng.choice(pool)
 
 
+def _replay(log):
+    """Re-encode a log's entries in append order against a fresh
+    dictionary, at the sizes the cache charged; returns the dictionary
+    and the stream."""
+    lbe = LbeCompressor()
+    dictionary = LbeDictionary()
+    stream = [lbe.compress(entry.data, dictionary) for entry in log.entries]
+    for entry, compressed in zip(log.entries, stream):
+        assert entry.data_bits == min(compressed.size_bits,
+                                      UNCOMPRESSED_LINE_BITS)
+    return dictionary, stream
+
+
+def _check_dictionary(log):
+    dictionary, _ = _replay(log)
+    assert dictionary._values == log.codec_state._values
+
+
 def _drive(cache, seed, n_operations):
     rng = random.Random(seed)
     pool = [bytes(rng.randrange(256) for _ in range(32)) for _ in range(5)]
     shadow = {}
     writebacks = []
-    for _ in range(n_operations):
-        address = rng.randrange(64) * 64
-        op = rng.random()
-        if op < 0.45:
-            data = _make_line(rng, pool)
-            writebacks.extend(cache.fill(address, data).writebacks)
-            shadow[address] = data
-        elif op < 0.8:
-            data = _make_line(rng, pool)
-            writebacks.extend(cache.writeback(address, data).writebacks)
-            shadow[address] = data
-        else:
-            result = cache.read(address)
-            if result.hit:
-                assert result.data == shadow[address], \
-                    "hit returned stale data"
+    with at_each_close(_check_dictionary):
+        for _ in range(n_operations):
+            address = rng.randrange(64) * 64
+            op = rng.random()
+            if op < 0.45:
+                data = _make_line(rng, pool)
+                writebacks.extend(cache.fill(address, data).writebacks)
+                shadow[address] = data
+            elif op < 0.8:
+                data = _make_line(rng, pool)
+                writebacks.extend(cache.writeback(address, data).writebacks)
+                shadow[address] = data
+            else:
+                result = cache.read(address)
+                if result.hit:
+                    assert result.data == shadow[address], \
+                        "hit returned stale data"
     return shadow, writebacks
 
 
@@ -80,20 +104,20 @@ def _check_structure(cache):
             assert lmt_entry.entry_ref is entry
             assert lmt_entry.line_address == entry.line_address
             assert lmt_entry.log_index == log.index
-        # the whole stream must replay, at the sizes the cache charged
+        # the whole stream must replay, at the sizes the cache charged;
+        # a closed log's dictionary was compared as it closed
         if log.entries:
-            dictionary = LbeDictionary()
-            stream = [lbe.compress(entry.data, dictionary)
-                      for entry in log.entries]
-            for entry, compressed in zip(log.entries, stream):
-                assert entry.data_bits == min(compressed.size_bits,
-                                              UNCOMPRESSED_LINE_BITS)
-            assert dictionary._values == log.codec_state._values
+            dictionary, stream = _replay(log)
+            if log.closed:
+                assert log.codec_state is None
+            else:
+                assert dictionary._values == log.codec_state._values
             decoded = lbe.decompress(stream)
             assert decoded == [entry.data for entry in log.entries]
             replayed += 1
     assert replayed > 0
     assert total_valid == cache.lmt.valid_count()
+    assert res_verify._audit_morc(cache) == []
 
 
 @settings(max_examples=15, deadline=None)

@@ -17,8 +17,9 @@ from repro.cache.set_assoc import AdaptiveCache
 from repro.common.config import CacheGeometry, MorcConfig
 from repro.common.errors import VerificationError
 from repro.compression.cpack import CPackCompressor
-from repro.compression.lbe import LbeCompressor
+from repro.compression.lbe import LbeCompressor, LbeDictionary
 from repro.compression.lz import LzStreamCompressor
+from repro.compression.tag_compression import TagStream
 from repro.morc.cache import MorcCache
 from repro.resilience import verify as res_verify
 from repro.sim.system import run_single_program
@@ -167,6 +168,53 @@ class TestAuditor:
         cache._dead_closed += 1
         with pytest.raises(VerificationError, match="only dead lines"):
             res_verify.audit(cache)
+
+    @staticmethod
+    def invariant_failure(monkeypatch, cache):
+        """The violations of the ``invariant`` failure auditing raises."""
+        kinds = []
+        fail = res_verify._fail
+
+        def recording_fail(subject, violations, kind):
+            kinds.append(kind)
+            fail(subject, violations, kind)
+
+        monkeypatch.setattr(res_verify, "_fail", recording_fail)
+        with pytest.raises(VerificationError) as excinfo:
+            res_verify.audit(cache)
+        assert kinds == ["invariant"]
+        return "; ".join(excinfo.value.violations)
+
+    @pytest.mark.parametrize("field, state", [
+        ("codec_state", LbeDictionary), ("tag_stream", TagStream)])
+    def test_catches_codec_state_kept_by_a_closed_log(
+            self, monkeypatch, field, state):
+        cache = small_morc()
+        address = 0
+        while not cache._closed_fifo:
+            cache.fill(address * 64, bytes([address % 251]) * 32
+                       + bytes(32))
+            address += 1
+        assert res_verify._audit_morc(cache) == []
+        closed = cache.logs[cache._closed_fifo[0]]
+        setattr(closed, field, state())
+        assert "closed but still holds" in self.invariant_failure(
+            monkeypatch, cache)
+
+    @pytest.mark.parametrize("field", ["codec_state", "tag_stream"])
+    def test_catches_an_active_log_without_codec_state(
+            self, monkeypatch, field):
+        cache = small_morc()
+        cache.fill(0, line(1))
+        setattr(cache.logs[cache._active[1]], field, None)
+        assert "active but lacks" in self.invariant_failure(
+            monkeypatch, cache)
+
+    def test_catches_codec_state_on_a_never_used_log(self, monkeypatch):
+        cache = small_morc()
+        cache.logs[cache._free_pool[0]].codec_state = LbeDictionary()
+        assert "never used but holds" in self.invariant_failure(
+            monkeypatch, cache)
 
     def test_catches_broken_segment_accounting(self):
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
